@@ -442,4 +442,21 @@ bool FrameChannel::set_nonblocking(bool enabled) {
 
 void FrameChannel::shutdown_write() { ::shutdown(fd_.get(), SHUT_WR); }
 
+ReadStatus FrameChannel::discard_input(std::size_t* budget_bytes) {
+  std::uint8_t sink[4096];
+  while (true) {
+    const ssize_t n = ::recv(fd_.get(), sink, sizeof(sink), 0);
+    if (n > 0) {
+      const auto got = static_cast<std::size_t>(n);
+      if (got > *budget_bytes) return ReadStatus::kOversized;
+      *budget_bytes -= got;
+      continue;
+    }
+    if (n == 0) return ReadStatus::kEof;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return ReadStatus::kWouldBlock;
+    return ReadStatus::kError;
+  }
+}
+
 }  // namespace paramount::service

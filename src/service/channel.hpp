@@ -11,7 +11,7 @@
 // Wire framing (protocol v2): every frame is an 8-byte little-endian header
 // — u32 payload length, u32 stream id — followed by the payload. Stream ids
 // let many logical enumeration sessions share one connection (the epoll
-// front end demultiplexes on them); single-session users leave the id 0.
+// server demultiplexes on them); single-session users leave the id 0.
 #pragma once
 
 #include <cstdint>
@@ -164,8 +164,17 @@ class FrameChannel {
   // Switches the fd's O_NONBLOCK flag. Returns false on fcntl failure.
   bool set_nonblocking(bool enabled);
 
-  // Half-closes the write side (client side of the half-close tests).
+  // Half-closes the write side: the peer reads EOF once it has consumed
+  // every byte sent before it.
   void shutdown_write();
+
+  // Reads and drops queued input on a non-blocking fd until the kernel has
+  // none left (kWouldBlock), the peer's EOF (kEof), a transport error
+  // (kError), or more than *budget_bytes in total (kOversized). Each byte
+  // dropped is charged against *budget_bytes. The closing half of a
+  // graceful teardown: closing a socket with unread input makes the kernel
+  // reset the connection, and the peer can lose replies it has not read yet.
+  ReadStatus discard_input(std::size_t* budget_bytes);
 
   int fd() const { return fd_.get(); }
 

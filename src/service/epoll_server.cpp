@@ -18,9 +18,10 @@ bool make_nonblocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-bool is_stream_fatal(ReadStatus status) {
-  return status == ReadStatus::kTruncated || status == ReadStatus::kOversized ||
-         status == ReadStatus::kError;
+// A frame the peer botched (as opposed to an orderly EOF or a dead
+// transport): its sessions get a typed Error before the close.
+bool is_broken_frame(ReadStatus status) {
+  return status == ReadStatus::kTruncated || status == ReadStatus::kOversized;
 }
 
 }  // namespace
@@ -64,13 +65,16 @@ void EpollServer::stop() {
   loop_thread_.join();
   // The reactor is down: this thread is now the only one touching
   // connection state. Finish every live session (drains detectors,
-  // releases pins, seals counts) and drop the connections. A blocked
-  // session's queued gate callback may still post() to the stopped loop —
-  // harmless; the task queue dies with loop_ below.
-  std::vector<std::uint64_t> ids;
-  ids.reserve(connections_.size());
-  for (const auto& [id, conn] : connections_) ids.push_back(id);
-  for (const std::uint64_t id : ids) teardown(id, ReadStatus::kEof);
+  // releases pins, seals counts), push out what replies the kernel takes,
+  // and close every connection — closing ones too, without waiting out
+  // their linger. A blocked session's queued gate callback may still
+  // post() to the stopped loop — harmless; the task queue dies with loop_
+  // below, and so do the linger timers.
+  for (const auto& [id, conn] : connections_) {
+    finish_streams(*conn, ReadStatus::kEof);
+    conn->channel.flush();
+  }
+  connections_.clear();
   listener_.reset();
   if (!bound_unix_path_.empty()) ::unlink(bound_unix_path_.c_str());
   tenant_gates_.clear();
@@ -88,7 +92,6 @@ void EpollServer::on_acceptable() {
     const std::uint64_t conn_id = next_conn_id_++;
     auto conn = std::make_shared<Connection>(UniqueFd(raw));
     connections_.emplace(conn_id, conn);
-    conn_by_fd_.emplace(raw, conn_id);
     {
       MutexLock lock(stats_mutex_);
       ++stats_.connections_accepted;
@@ -105,36 +108,29 @@ void EpollServer::on_connection_ready(std::uint64_t conn_id,
   const auto it = connections_.find(conn_id);
   if (it == connections_.end()) return;
   std::shared_ptr<Connection> conn = it->second;
-  if (ready & EventLoop::kWritable) {
-    switch (conn->channel.flush()) {
-      case FrameChannel::FlushStatus::kError:
-        teardown(conn_id, ReadStatus::kError);
-        return;
-      case FrameChannel::FlushStatus::kDrained:
-        if (conn->close_after_flush) {
-          teardown(conn_id, ReadStatus::kEof);
-          return;
-        }
-        break;
-      case FrameChannel::FlushStatus::kPending:
-        break;
-    }
+  if (conn->closing) {
+    advance_close(conn_id, ready);
+    return;
   }
-  if ((ready & EventLoop::kReadable) && !conn->blocked &&
-      !conn->close_after_flush) {
-    read_quantum(conn, conn_id);
-    if (connections_.find(conn_id) == connections_.end()) return;
-  } else if (ready & EventLoop::kHangup) {
-    // The peer died while this connection was deliberately not reading
-    // (gate-blocked, or draining a final reply). ERR/HUP are unmaskable
-    // and level-triggered: ignoring them here would re-fire the event
-    // forever — a busy-spinning reactor pinned to a dead peer that can
-    // never be torn down if its gate never frees. Tear it down now; the
-    // stashed pending event was never charged, so nothing leaks.
+  if ((ready & EventLoop::kWritable) &&
+      conn->channel.flush() == FrameChannel::FlushStatus::kError) {
     teardown(conn_id, ReadStatus::kError);
     return;
   }
-  update_interest(conn_id, *conn);
+  if ((ready & EventLoop::kReadable) && !conn->blocked) {
+    read_quantum(conn, conn_id);
+    if (conn->closing || connections_.count(conn_id) == 0) return;
+  } else if (ready & EventLoop::kHangup) {
+    // The peer died while this connection was deliberately not reading
+    // (gate-blocked). ERR/HUP are unmaskable and level-triggered: ignoring
+    // them here would re-fire the event forever — a busy-spinning reactor
+    // pinned to a dead peer that can never be torn down if its gate never
+    // frees. Tear it down now; the stashed pending event was never
+    // charged, so nothing leaks.
+    teardown(conn_id, ReadStatus::kError);
+    return;
+  }
+  update_interest(*conn);
 }
 
 void EpollServer::read_quantum(const std::shared_ptr<Connection>& conn,
@@ -180,11 +176,7 @@ bool EpollServer::dispatch_frame(const std::shared_ptr<Connection>& conn,
       // once its rejected set hits the cap, close it (after the buffered
       // Error frames drain) instead of tracking ids without bound.
       if (conn->rejected_streams.size() >= kMaxRejectedStreams) {
-        if (conn->channel.has_pending_write()) {
-          conn->close_after_flush = true;
-        } else {
-          teardown(conn_id, ReadStatus::kEof);
-        }
+        teardown(conn_id, ReadStatus::kEof);
         return false;
       }
       return true;
@@ -198,19 +190,8 @@ bool EpollServer::dispatch_frame(const std::shared_ptr<Connection>& conn,
       conn->blocked_stream = stream_id;
       return true;
     case SessionCore::Disposition::kClose:
-      finish_stream(*conn, stream_id);
-      if (stream_id == 0) {
-        // Plain single-session connection: mirror the thread front end and
-        // close the transport once the session ends — after any buffered
-        // reply (Goodbye/Error under a full socket) drains.
-        if (conn->channel.has_pending_write()) {
-          conn->close_after_flush = true;
-          return false;
-        }
-        teardown(conn_id, ReadStatus::kEof);
-        return false;
-      }
-      return true;
+      end_stream(conn_id, *conn, stream_id);
+      return stream_id != 0;
   }
   return true;
 }
@@ -235,14 +216,13 @@ SessionCore* EpollServer::open_stream(const std::shared_ptr<Connection>& conn,
     return nullptr;
   }
   SessionCore::Limits limits;
-  limits.submit_budget_bytes = options_.submit_budget_bytes;
   limits.eviction_alert_threshold = options_.eviction_alert_threshold;
   limits.state_store_budget_bytes = options_.state_store_budget_bytes;
   // The send callback holds a raw Connection pointer: the core is owned by
   // conn->streams, so it can never outlive the connection it writes to.
   Connection* raw_conn = conn.get();
   auto core = std::make_unique<SessionCore>(
-      next_session_id_++, limits, SessionCore::GateMode::kNotify,
+      next_session_id_++, limits,
       [raw_conn, stream_id](std::span<const std::uint8_t> reply) {
         return raw_conn->channel.write_frame(reply, stream_id);
       });
@@ -257,6 +237,17 @@ SessionCore* EpollServer::open_stream(const std::shared_ptr<Connection>& conn,
   conn->streams.emplace(stream_id, std::move(core));
   ++live_sessions_;
   return out;
+}
+
+void EpollServer::end_stream(std::uint64_t conn_id, Connection& conn,
+                             std::uint32_t stream_id) {
+  if (stream_id == 0) {
+    // Plain single-session connection: the transport closes with the
+    // session, after its last reply (Goodbye or Error).
+    teardown(conn_id, ReadStatus::kEof);
+  } else {
+    finish_stream(conn, stream_id);
+  }
 }
 
 void EpollServer::finish_stream(Connection& conn, std::uint32_t stream_id) {
@@ -285,10 +276,22 @@ void EpollServer::finish_session(SessionCore& core) {
   stats_cv_.notify_all();
 }
 
-void EpollServer::update_interest(std::uint64_t conn_id, Connection& conn) {
-  (void)conn_id;
+void EpollServer::finish_streams(Connection& conn, ReadStatus why) {
+  // Sessions on a torn stream get a typed farewell for a broken frame;
+  // EOF and transport errors finish silently. Either way each core drains
+  // its detector and releases every pin in finish().
+  std::vector<std::uint32_t> stream_ids;
+  stream_ids.reserve(conn.streams.size());
+  for (const auto& [sid, core] : conn.streams) stream_ids.push_back(sid);
+  for (const std::uint32_t sid : stream_ids) {
+    if (is_broken_frame(why)) conn.streams.at(sid)->on_transport_status(why);
+    finish_stream(conn, sid);
+  }
+}
+
+void EpollServer::update_interest(Connection& conn) {
   std::uint32_t interest = 0;
-  if (!conn.blocked && !conn.close_after_flush) {
+  if (conn.closing ? !conn.peer_eof : !conn.blocked) {
     interest |= EventLoop::kReadable;
   }
   if (conn.channel.has_pending_write()) interest |= EventLoop::kWritable;
@@ -297,25 +300,72 @@ void EpollServer::update_interest(std::uint64_t conn_id, Connection& conn) {
 
 void EpollServer::teardown(std::uint64_t conn_id, ReadStatus why) {
   const auto it = connections_.find(conn_id);
-  if (it == connections_.end()) return;
-  std::shared_ptr<Connection> conn = it->second;
-  // Sessions on a torn stream get the same typed farewell the blocking
-  // loop sent inline; EOF/orderly closes finish silently. Either way each
-  // core drains its detector and releases every pin in finish().
-  std::vector<std::uint32_t> stream_ids;
-  stream_ids.reserve(conn->streams.size());
-  for (const auto& [sid, core] : conn->streams) stream_ids.push_back(sid);
-  for (const std::uint32_t sid : stream_ids) {
-    SessionCore& core = *conn->streams.at(sid);
-    if (is_stream_fatal(why)) core.on_transport_status(why);
-    finish_stream(*conn, sid);
+  if (it == connections_.end() || it->second->closing) return;
+  const std::shared_ptr<Connection> conn_ptr = it->second;
+  Connection& conn = *conn_ptr;
+  // A broken frame is answered even when it was the connection's first:
+  // like any frame to an unopened stream it opens the stream-0 session,
+  // which then fails with the typed Error.
+  if (is_broken_frame(why) && conn.streams.empty()) {
+    open_stream(conn_ptr, conn_id, 0);
   }
-  // Best-effort: push out whatever reply bytes are still buffered (the
-  // Error frames above, a Goodbye that was waiting on EPOLLOUT).
-  conn->channel.flush();
-  loop_->remove(conn->channel.fd());
-  conn_by_fd_.erase(conn->channel.fd());
-  connections_.erase(conn_id);
+  // Sessions finish first, so their pins and stats never wait on the
+  // linger below.
+  finish_streams(conn, why);
+  if (why == ReadStatus::kError) {
+    close_now(conn_id);  // the transport is dead: nothing left to deliver
+    return;
+  }
+  conn.closing = true;
+  loop_->run_at(std::chrono::steady_clock::now() + kLingerTimeout,
+                [this, conn_id] { close_now(conn_id); });
+  advance_close(conn_id, 0);
+}
+
+void EpollServer::advance_close(std::uint64_t conn_id, std::uint32_t ready) {
+  Connection& conn = *connections_.at(conn_id);
+  if (!conn.write_shut) {
+    switch (conn.channel.flush()) {
+      case FrameChannel::FlushStatus::kError:
+        close_now(conn_id);
+        return;
+      case FrameChannel::FlushStatus::kPending:
+        break;
+      case FrameChannel::FlushStatus::kDrained:
+        conn.channel.shutdown_write();  // the peer reads EOF after the replies
+        conn.write_shut = true;
+        break;
+    }
+  }
+  if (!conn.peer_eof) {
+    switch (conn.channel.discard_input(&conn.discard_budget)) {
+      case ReadStatus::kWouldBlock:
+        break;
+      case ReadStatus::kEof:
+        conn.peer_eof = true;
+        break;
+      default:
+        // A transport error, or a peer still sending past the discard cap:
+        // stop waiting for it.
+        close_now(conn_id);
+        return;
+    }
+  }
+  // Done once both directions are finished. A hangup means the peer is
+  // gone: nothing buffered can reach it, and the level-triggered event
+  // would otherwise re-fire until the deadline.
+  if ((conn.write_shut && conn.peer_eof) || (ready & EventLoop::kHangup)) {
+    close_now(conn_id);
+    return;
+  }
+  update_interest(conn);
+}
+
+void EpollServer::close_now(std::uint64_t conn_id) {
+  const auto it = connections_.find(conn_id);
+  if (it == connections_.end()) return;
+  loop_->remove(it->second->channel.fd());
+  connections_.erase(it);  // the channel's UniqueFd closes the socket
 }
 
 void EpollServer::retry_blocked(std::uint64_t conn_id) {
@@ -326,20 +376,21 @@ void EpollServer::retry_blocked(std::uint64_t conn_id) {
   const auto sit = conn->streams.find(conn->blocked_stream);
   if (sit == conn->streams.end()) {
     conn->blocked = false;
-    update_interest(conn_id, *conn);
+    update_interest(*conn);
     return;
   }
   switch (sit->second->retry_pending()) {
     case SessionCore::Disposition::kBlocked:
       return;  // re-queued on the gate; stay paused
     case SessionCore::Disposition::kClose:
-      finish_stream(*conn, conn->blocked_stream);
+      end_stream(conn_id, *conn, conn->blocked_stream);
+      if (conn->closing) return;
       break;
     case SessionCore::Disposition::kContinue:
       conn->blocked = false;
       break;
   }
-  update_interest(conn_id, *conn);
+  update_interest(*conn);
 }
 
 std::shared_ptr<SubmitGate> EpollServer::gate_for(const HelloBody& hello) {

@@ -1,12 +1,9 @@
-// EpollServer: the multiplexed event-loop front end for paramountd.
-//
-// Where ParamountServer burns one OS thread per connection (fine for a
-// handful of probes, hopeless at 10k sessions), this front end runs every
-// connection on ONE reactor thread: non-blocking FrameChannels, sessions as
-// readiness-driven SessionCore state machines, interval work still handed
-// to each detector's work-stealing pool. The v2 frame header's stream id
-// lets one connection carry many logical sessions — a fleet-wide collector
-// can multiplex thousands of enumeration streams over a few sockets.
+// EpollServer: paramountd's server. Every connection runs on ONE reactor
+// thread: non-blocking FrameChannels, sessions as readiness-driven
+// SessionCore state machines, interval work still handed to each
+// detector's work-stealing pool. The v2 frame header's stream id lets one
+// connection carry many logical sessions — a fleet-wide collector can
+// multiplex thousands of enumeration streams over a few sockets.
 //
 // Listener: Unix path or TCP ("tcp:HOST:PORT"), same wire protocol either
 // way — the oracle-differential tests run bit-identical over both.
@@ -21,10 +18,19 @@
 // holds p99 Poll latency flat as idle-session count grows.
 //
 // Close semantics per stream: a session on stream 0 (the plain
-// one-session-per-connection client) closes the connection when it ends,
-// exactly like the thread front end; sessions on nonzero streams come and
-// go while the connection stays up. Buffered replies (Goodbye under a full
-// socket) are flushed via EPOLLOUT before the close happens.
+// one-session-per-connection client) closes the connection when it ends;
+// sessions on nonzero streams come and go while the connection stays up.
+//
+// Closing a connection is one sequence, whatever ended it: finish every
+// session on it (pins released, ServerStats counted), flush buffered
+// replies, shutdown(SHUT_WR) so the peer reads EOF right after the last
+// reply, then discard input until the peer's EOF, kLingerDiscardBytes, or
+// kLingerTimeout, and only then close(). Closing with unread input would
+// make the kernel reset the connection, and a reset can destroy a typed
+// Error frame the peer has not read yet. The linger never blocks the
+// reactor: the connection stays registered in a closing state and a loop
+// timer enforces the deadline. A transport error skips the linger, and
+// stop() closes every connection at once.
 #pragma once
 
 #include <chrono>
@@ -34,15 +40,35 @@
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "service/channel.hpp"
 #include "service/event_loop.hpp"
-#include "service/server.hpp"  // ServerStats
 #include "service/session.hpp"
 #include "util/submit_gate.hpp"
 #include "util/sync.hpp"
 
 namespace paramount::service {
+
+struct ServerStats {
+  std::uint64_t connections_accepted = 0;  // accept() successes (< sessions
+                                           // when a connection multiplexes
+                                           // streams)
+  std::uint64_t sessions_accepted = 0;
+  std::uint64_t sessions_completed = 0;
+  // Admission refusals over --max-sessions. Deliberately NOT counted as
+  // protocol_errors: the client spoke the protocol correctly and the server
+  // turned it away — conflating the two made "protocol_errors: 0" useless
+  // as a client-correctness check whenever the limiter engaged.
+  std::uint64_t sessions_rejected = 0;
+  std::uint64_t clean_shutdowns = 0;     // ended via Shutdown/Goodbye
+  std::uint64_t protocol_errors = 0;     // in-session Error frames sent
+  std::uint64_t frames = 0;              // well-formed frames handled
+  std::uint64_t leaked_pins = 0;         // sum of final outstanding_pins
+  std::uint64_t submit_stalls = 0;       // backpressure engagements, summed
+  CountsBody last_session;               // final counts of the last session
+  std::vector<VarId> last_racy_vars;     // last session's race-report vars
+};
 
 class EpollServer {
  public:
@@ -69,7 +95,8 @@ class EpollServer {
   bool start(std::string* error, ListenUnixError* why = nullptr);
 
   // Idempotent: stops the loop, finishes every live session (draining
-  // detectors, releasing pins), closes every connection.
+  // detectors, releasing pins), closes every connection at once — closing
+  // ones included.
   void stop();
 
   // The bound TCP port (resolves port 0 for tests/bench); 0 for Unix.
@@ -77,10 +104,18 @@ class EpollServer {
 
   ServerStats stats() const;
 
+  // Blocks until at least `n` sessions have completed (or the timeout
+  // expires; returns false then). The tests' sanctioned alternative to
+  // sleep-polling the stats.
   bool wait_sessions_completed(std::uint64_t n,
                                std::chrono::milliseconds timeout) const;
 
  private:
+  // Bounds on a closing connection: input discarded after the last reply,
+  // and how long it may stay open waiting for the peer's EOF.
+  static constexpr std::size_t kLingerDiscardBytes = std::size_t{1} << 20;
+  static constexpr std::chrono::milliseconds kLingerTimeout{2000};
+
   // All Connection state is loop-thread-only (stop() touches it only after
   // joining the loop thread).
   struct Connection {
@@ -94,7 +129,12 @@ class EpollServer {
     // disarmed until retry_pending() wins admission.
     bool blocked = false;
     std::uint32_t blocked_stream = 0;
-    bool close_after_flush = false;  // stream-0 session ended; drain then close
+    // The graceful close (see the header comment): set once every session
+    // here is finished; reads only discard input from then on.
+    bool closing = false;
+    bool write_shut = false;  // shutdown(SHUT_WR) sent
+    bool peer_eof = false;    // the peer's EOF read while discarding
+    std::size_t discard_budget = kLingerDiscardBytes;
   };
 
   // Frames drained per readiness dispatch before yielding to other
@@ -121,10 +161,22 @@ class EpollServer {
                       std::span<const std::uint8_t> payload);
   SessionCore* open_stream(const std::shared_ptr<Connection>& conn,
                            std::uint64_t conn_id, std::uint32_t stream_id);
+  // A session on `stream_id` ended: stream 0 takes the connection with it.
+  void end_stream(std::uint64_t conn_id, Connection& conn,
+                  std::uint32_t stream_id);
   void finish_stream(Connection& conn, std::uint32_t stream_id);
   void finish_session(SessionCore& core);
-  void update_interest(std::uint64_t conn_id, Connection& conn);
+  // Finishes every session on `conn`; a fatal `why` first gets the typed
+  // farewell (truncated/oversized Error frames).
+  void finish_streams(Connection& conn, ReadStatus why);
+  void update_interest(Connection& conn);
+  // Finishes the connection's sessions, then closes it: gracefully (the
+  // linger sequence) unless `why` is a transport error.
   void teardown(std::uint64_t conn_id, ReadStatus why);
+  // One step of the graceful close, run on every readiness event of a
+  // closing connection.
+  void advance_close(std::uint64_t conn_id, std::uint32_t ready);
+  void close_now(std::uint64_t conn_id);
   void retry_blocked(std::uint64_t conn_id);
   std::shared_ptr<SubmitGate> gate_for(const HelloBody& hello);
 
@@ -138,7 +190,6 @@ class EpollServer {
 
   // Loop-thread-only:
   std::unordered_map<std::uint64_t, std::shared_ptr<Connection>> connections_;
-  std::unordered_map<int, std::uint64_t> conn_by_fd_;
   std::unordered_map<std::uint32_t, std::weak_ptr<SubmitGate>> tenant_gates_;
   std::uint64_t next_conn_id_ = 1;
   std::uint64_t next_session_id_ = 1;

@@ -6,6 +6,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 namespace paramount::service {
@@ -58,6 +59,32 @@ void EventLoop::remove(int fd) {
   handlers_.erase(fd);
 }
 
+void EventLoop::run_at(std::chrono::steady_clock::time_point when,
+                       std::function<void()> task) {
+  timers_.emplace(when, std::move(task));
+}
+
+int EventLoop::wait_timeout_ms() const {
+  if (timers_.empty()) return -1;
+  const auto wait = timers_.begin()->first - std::chrono::steady_clock::now();
+  if (wait <= std::chrono::steady_clock::duration::zero()) return 0;
+  // Round up: waking a hair early would only spin through another wait.
+  const auto ms = std::chrono::ceil<std::chrono::milliseconds>(wait).count();
+  return ms > std::numeric_limits<int>::max()
+             ? std::numeric_limits<int>::max()
+             : static_cast<int>(ms);
+}
+
+void EventLoop::run_due_timers() {
+  const auto now = std::chrono::steady_clock::now();
+  while (!timers_.empty() && timers_.begin()->first <= now) {
+    // Pop before running: the task may schedule further timers.
+    std::function<void()> task = std::move(timers_.begin()->second);
+    timers_.erase(timers_.begin());
+    task();
+  }
+}
+
 void EventLoop::post(std::function<void()> task) {
   {
     MutexLock lock(post_mutex_);
@@ -85,7 +112,8 @@ void EventLoop::run() {
   constexpr int kBatch = 64;
   struct epoll_event events[kBatch];
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(epoll_.get(), events, kBatch, -1);
+    const int n =
+        ::epoll_wait(epoll_.get(), events, kBatch, wait_timeout_ms());
     if (n < 0) {
       if (errno == EINTR) continue;
       return;  // epoll fd itself broke; nothing sane to do but exit
@@ -107,6 +135,7 @@ void EventLoop::run() {
       const Handler handler = it->second;
       handler(ready);
     }
+    run_due_timers();
   }
 }
 

@@ -1,4 +1,4 @@
-// A minimal epoll reactor for the paramountd front end.
+// A minimal epoll reactor for the paramountd server.
 //
 // One thread calls run(); fds are registered with a callback receiving the
 // ready-event bits (level-triggered, so a callback that leaves data unread
@@ -6,8 +6,8 @@
 // read quanta and for pausing reads under submit backpressure). Other
 // threads talk to the loop exclusively through post(), which enqueues a
 // closure and wakes the loop via an eventfd; everything else (add/modify/
-// remove, the handler table, all Connection state in the server above) is
-// loop-thread-only and needs no locks.
+// remove, one-shot timers, the handler table, all Connection state in the
+// server above) is loop-thread-only and needs no locks.
 //
 // This is deliberately the ltsmin/hre-io shape: a flat fd → handler table
 // and a wake pipe, not a futures framework. The server built on top owns
@@ -15,8 +15,10 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,7 +58,11 @@ class EventLoop {
   bool add(int fd, std::uint32_t interest, Handler handler);
   bool modify(int fd, std::uint32_t interest);
   void remove(int fd);
-  bool watched(int fd) const { return handlers_.count(fd) != 0; }
+  // Runs `task` on the loop thread once `when` has passed. epoll_wait
+  // sleeps no longer than the earliest pending timer; timers still pending
+  // when the loop is destroyed never run.
+  void run_at(std::chrono::steady_clock::time_point when,
+              std::function<void()> task);
 
   // Thread-safe: runs `task` on the loop thread at the next wake-up.
   void post(std::function<void()> task);
@@ -70,11 +76,16 @@ class EventLoop {
  private:
   static std::uint32_t to_epoll(std::uint32_t interest);
   void drain_wake_and_run_posted();
+  // epoll_wait timeout: milliseconds until the earliest timer, -1 if none.
+  int wait_timeout_ms() const;
+  void run_due_timers();
 
   UniqueFd epoll_;
   UniqueFd wake_;  // eventfd: post()/stop() wake-up
   std::string error_;
   std::unordered_map<int, Handler> handlers_;  // loop-thread-only
+  std::multimap<std::chrono::steady_clock::time_point, std::function<void()>>
+      timers_;  // loop-thread-only
 
   // relaxed would suffice for the flag alone, but posted-task visibility
   // rides on the mutex below; keep the default ordering for clarity.

@@ -122,8 +122,7 @@ SessionCore::Disposition SessionCore::handle_hello(const HelloBody& body) {
                                                 body.async_workers);
   access_table_ = std::make_unique<AccessTable>(num_threads_);
   gate_ = gate_provider_ ? gate_provider_(body)
-                         : std::make_shared<SubmitGate>(
-                               limits_.submit_budget_bytes);
+                         : std::make_shared<SubmitGate>(0);
   OnlineRaceDetector::Options options;
   options.async_workers = body.async_workers;
   options.telemetry = telemetry_.get();
@@ -198,11 +197,7 @@ SessionCore::Disposition SessionCore::handle_event(const EventBody& body) {
 SessionCore::Disposition SessionCore::submit_pending() {
   // Backpressure: admit against the in-flight interval budget; pooled
   // workers return the charge via interval_done.
-  if (gate_mode_ == GateMode::kBlocking) {
-    // Block here (the session thread stops reading its socket; the kernel
-    // buffer pushes back on the client).
-    gate_->acquire(event_cost_);
-  } else if (!gate_->acquire_or_notify(event_cost_, gate_ready_, this)) {
+  if (!gate_->acquire_or_notify(event_cost_, gate_ready_, this)) {
     // Stays stashed; the owner stops reading this session until the gate's
     // release fires gate_ready_ and retry_pending() wins admission.
     ++result_.submit_stalls;
@@ -336,38 +331,7 @@ void SessionCore::finish() {
     for (const RaceFinding& f : detector_->report().findings()) {
       result_.racy_vars.push_back(f.var);
     }
-    if (gate_mode_ == GateMode::kBlocking) {
-      result_.submit_stalls = gate_->stalls();
-    }
   }
-}
-
-Session::Session(FrameChannel channel, std::uint64_t session_id,
-                 Limits limits)
-    : channel_(std::move(channel)),
-      core_(session_id, limits, SessionCore::GateMode::kBlocking,
-            // The send callback captures `this`; Session is neither copied
-            // nor moved after construction, so the pointer stays valid.
-            [this](std::span<const std::uint8_t> payload) {
-              return channel_.write_frame(payload);
-            }) {}
-
-Session::Result Session::run() {
-  std::vector<std::uint8_t> payload;
-  while (!core_.closed()) {
-    const ReadStatus status = channel_.read_frame(&payload);
-    if (status != ReadStatus::kFrame) {
-      core_.on_transport_status(status);
-      break;
-    }
-    core_.on_payload(payload);  // kBlocking mode: never kBlocked
-  }
-  core_.finish();
-  // The Shutdown/Goodbye handshake ends with a server-side half-close so
-  // the client sees EOF after Goodbye (the thread server owns the socket;
-  // the core only knows frames).
-  if (core_.result().clean_shutdown) channel_.shutdown_write();
-  return core_.result();
 }
 
 }  // namespace paramount::service

@@ -1,204 +1,33 @@
-// Service mode (paramountd core): differential oracle + protocol robustness.
+// Service mode (paramountd): race-report oracle + protocol robustness.
 //
-// The oracle suites drive event streams through a real Unix-domain socket
-// into an in-process ParamountServer and require **bit-identical** results
-// to the same events run through the offline driver: state counts from
-// enumerate_paramount, race-variable sets from detect_races_offline_bfs.
-// The robustness suite throws malformed bytes, half-closed connections, and
-// mid-stream kills at the server and asserts it answers a typed Error frame
-// or closes cleanly — never aborts (these tests run in-process: an abort
-// kills the test binary) — and never leaks a pinned EnumGuard.
-//
-// Synchronization is condition-variable based throughout
-// (ParamountServer::wait_sessions_completed); no sleep-based sync, per
-// tools/lint/paramount_lint.py.
-#include "service/server.hpp"
-
+// The race oracle drives collection traces through a real Unix-domain
+// socket into an in-process EpollServer and requires the **bit-identical**
+// race-variable set detect_races_offline_bfs finds on the same events (the
+// state-count differential over both transports lives in
+// test_event_server.cpp). The robustness suite throws malformed bytes,
+// half-closed connections, and mid-stream kills at the server and asserts
+// it answers a typed Error frame and closes in order — never aborts (these
+// tests run in-process: an abort kills the test binary) — and never leaks a
+// pinned EnumGuard.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <thread>
 #include <vector>
 
-#include "core/paramount.hpp"
 #include "detect/offline_bfs_detector.hpp"
-#include "poset/poset_builder.hpp"
-#include "service/frame.hpp"
-#include "workloads/event_stream.hpp"
+#include "service_fixture.hpp"
 
 namespace paramount::service {
 namespace {
 
-using namespace std::chrono_literals;
+using namespace test_support;
 
-constexpr auto kWait = 30s;  // generous: TSan/ASan builds are slow
-
-std::string unique_socket_path() {
-  static std::atomic<int> counter{0};
-  return "/tmp/pm_svc_" + std::to_string(::getpid()) + "_" +
-         std::to_string(counter.fetch_add(1)) + ".sock";
-}
-
-// In-process server plus frame-level client helpers.
-class ServiceTest : public ::testing::Test {
+class ServiceTest : public ServerFixture {
  protected:
-  void start_server(ParamountServer::Options options = {}) {
-    options.socket_path = unique_socket_path();
-    server_ = std::make_unique<ParamountServer>(std::move(options));
-    std::string error;
-    ASSERT_TRUE(server_->start(&error)) << error;
-  }
-
-  FrameChannel connect() {
-    std::string error;
-    UniqueFd fd = connect_unix(server_->socket_path(), &error);
-    EXPECT_TRUE(fd.valid()) << error;
-    return FrameChannel(std::move(fd));
-  }
-
-  // Reads one frame and decodes it, failing the test on transport errors.
-  DecodedFrame read_frame(FrameChannel& channel) {
-    std::vector<std::uint8_t> payload;
-    const ReadStatus status = channel.read_frame(&payload);
-    EXPECT_EQ(status, ReadStatus::kFrame) << to_string(status);
-    DecodedFrame frame;
-    if (status == ReadStatus::kFrame) {
-      const auto err = decode_frame(payload, &frame);
-      EXPECT_FALSE(err.has_value()) << (err ? err->message : "");
-    }
-    return frame;
-  }
-
-  // Performs the Hello handshake on `channel`.
-  void hello(FrameChannel& channel, const HelloBody& body) {
-    ASSERT_TRUE(channel.write_frame(encode_hello(body)));
-    const DecodedFrame ack = read_frame(channel);
-    ASSERT_EQ(ack.op, Op::kHelloAck);
-    EXPECT_EQ(ack.hello_ack.version, kProtocolVersion);
-  }
-
-  // Expects the next server frame to be an Error with the given code,
-  // followed by connection close.
-  void expect_error_then_close(FrameChannel& channel, ErrorCode code) {
-    const DecodedFrame frame = read_frame(channel);
-    ASSERT_EQ(frame.op, Op::kError);
-    EXPECT_EQ(frame.error.code, code) << frame.error.message;
-    std::vector<std::uint8_t> payload;
-    EXPECT_EQ(channel.read_frame(&payload), ReadStatus::kEof);
-  }
-
-  // Waits (condition-variable, not sleep) for `n` total completed sessions.
-  void await_completed(std::uint64_t n) {
-    ASSERT_TRUE(server_->wait_sessions_completed(n, kWait))
-        << "sessions did not complete";
-  }
-
-  std::unique_ptr<ParamountServer> server_;
+  void exhaust_state_store(Endpoint::Kind kind);
 };
-
-// Sends `total` synthetic events (delta-encoded) over an established
-// session; returns the stream parameters' expected clocks via `prev`.
-void stream_events(FrameChannel& channel, SyntheticEventStream& stream,
-                   std::vector<VectorClock>& prev, std::uint64_t total) {
-  for (std::uint64_t i = 0; i < total; ++i) {
-    const SyntheticEventStream::StreamEvent ev = stream.next();
-    EventBody body;
-    body.tid = ev.tid;
-    body.kind = ev.kind;
-    body.object = ev.object;
-    for (std::size_t j = 0; j < ev.clock.size(); ++j) {
-      if (ev.clock[j] != prev[ev.tid][j]) {
-        body.delta.push_back({static_cast<std::uint32_t>(j), ev.clock[j]});
-      }
-    }
-    prev[ev.tid] = ev.clock;
-    ASSERT_TRUE(channel.write_frame(encode_event(body)));
-  }
-}
-
-// Offline reference: state count of the identical stream via the offline
-// driver (src/core/paramount.cpp).
-std::uint64_t oracle_states(const SyntheticEventStream::Params& params,
-                            std::uint64_t total) {
-  SyntheticEventStream stream(params);
-  PosetBuilder builder(params.num_threads);
-  for (std::uint64_t i = 0; i < total; ++i) {
-    const SyntheticEventStream::StreamEvent ev = stream.next();
-    builder.add_event_with_clock(ev.tid, ev.kind, ev.object, ev.clock);
-  }
-  const Poset poset = std::move(builder).build();
-  ParamountOptions options;
-  options.num_workers = 2;
-  return enumerate_paramount(poset, options, [](const Frontier&) {}).states;
-}
-
-// ---- differential oracle: state counts across the A/B matrix ----
-
-struct OracleCase {
-  std::uint32_t async_workers;
-  std::uint64_t gc_every;
-  const char* name;
-};
-
-class ServiceOracle : public ServiceTest,
-                      public ::testing::WithParamInterface<OracleCase> {};
-
-TEST_P(ServiceOracle, SocketStreamMatchesOfflineDriver) {
-  const OracleCase& c = GetParam();
-  start_server();
-  SyntheticEventStream::Params params;
-  params.num_threads = 4;
-  params.num_locks = 2;
-  params.sync_probability = 0.8;
-  params.seed = 7;
-  const std::uint64_t total = 3000;
-
-  FrameChannel channel = connect();
-  HelloBody h;
-  h.num_threads = 4;
-  h.async_workers = c.async_workers;
-  h.gc_every = c.gc_every;
-  hello(channel, h);
-
-  SyntheticEventStream stream(params);
-  std::vector<VectorClock> prev(params.num_threads,
-                                VectorClock(params.num_threads));
-  stream_events(channel, stream, prev, total);
-
-  ASSERT_TRUE(channel.write_frame(encode_shutdown()));
-  const DecodedFrame goodbye = read_frame(channel);
-  ASSERT_EQ(goodbye.op, Op::kGoodbye);
-
-  EXPECT_EQ(goodbye.counts.events, total);
-  EXPECT_EQ(goodbye.counts.intervals, total);
-  EXPECT_EQ(goodbye.counts.outstanding_pins, 0u);
-  EXPECT_EQ(goodbye.counts.racy_vars, 0u);  // no collection events
-  if (c.gc_every > 0) {
-    EXPECT_GT(goodbye.counts.reclaimed_events, 0u);
-  } else {
-    EXPECT_EQ(goodbye.counts.reclaimed_events, 0u);
-  }
-  // The differential requirement: bit-identical to the offline driver.
-  EXPECT_EQ(goodbye.counts.states, oracle_states(params, total));
-
-  await_completed(1);
-  const ServerStats stats = server_->stats();
-  EXPECT_EQ(stats.leaked_pins, 0u);
-  EXPECT_EQ(stats.clean_shutdowns, 1u);
-  EXPECT_EQ(stats.protocol_errors, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, ServiceOracle,
-    ::testing::Values(OracleCase{0, 0, "inline_unwindowed"},
-                      OracleCase{0, 64, "inline_windowed"},
-                      OracleCase{3, 0, "pooled_unwindowed"},
-                      OracleCase{3, 64, "pooled_windowed"}),
-    [](const ::testing::TestParamInfo<OracleCase>& info) {
-      return info.param.name;
-    });
 
 // ---- differential oracle: race reports on collection traces ----
 
@@ -647,14 +476,19 @@ TEST_F(ServiceTest, InterleavedSessionsStayIsolated) {
 }
 
 TEST_F(ServiceTest, SessionLimitAnswersTypedError) {
-  ParamountServer::Options options;
+  EpollServer::Options options;
   options.max_sessions = 1;
   start_server(options);
   FrameChannel first = connect();
   HelloBody h;
   h.num_threads = 2;
   hello(first, h);  // occupies the only slot
+  // The limit applies to sessions, not connections: the refusal answers
+  // the second connection's first frame. A refused stream does not end the
+  // connection, so the client hangs up and must then read an orderly EOF.
   FrameChannel second = connect();
+  ASSERT_TRUE(second.write_frame(encode_hello(h)));
+  second.shutdown_write();
   expect_error_then_close(second, ErrorCode::kSessionLimit);
   ASSERT_TRUE(first.write_frame(encode_shutdown()));
   EXPECT_EQ(read_frame(first).op, Op::kGoodbye);
@@ -669,12 +503,11 @@ TEST_F(ServiceTest, SessionLimitAnswersTypedError) {
   EXPECT_EQ(stats.clean_shutdowns, 1u);
 }
 
-// The S1 regression: the accept loop used to stash every session's
-// std::thread handle in a vector that was only joined at stop(), so a
-// long-lived daemon accumulated one dead-but-joinable handle (plus its
-// kernel task) per connection ever served. Handles must now be reaped as
-// sessions retire: after many sequential sessions the parked-handle count
-// stays O(1), not O(sessions).
+// A long-lived daemon serves session after session: a thousand sequential
+// Hello/Shutdown connections must each complete, count one clean shutdown,
+// and leave no pin behind. (The name is kept from the deleted
+// thread-per-connection server, whose per-session thread handles this test
+// also counted.)
 TEST_F(ServiceTest, SessionThreadHandlesAreReapedNotAccumulated) {
   start_server();
   constexpr std::uint64_t kSessions = 1000;
@@ -687,25 +520,20 @@ TEST_F(ServiceTest, SessionThreadHandlesAreReapedNotAccumulated) {
     EXPECT_EQ(read_frame(channel).op, Op::kGoodbye);
   }
   await_completed(kSessions);
-  // A finished session parks its own handle for the NEXT session to reap,
-  // so a handful may be parked at any instant — but never the full
-  // history (pre-fix this sat at kSessions).
-  EXPECT_LE(server_->session_thread_handles(), 8u);
   const ServerStats stats = server_->stats();
   EXPECT_EQ(stats.sessions_completed, kSessions);
   EXPECT_EQ(stats.clean_shutdowns, kSessions);
   EXPECT_EQ(stats.leaked_pins, 0u);
 }
 
-// The threads front end shares the epoll front end's typed live-listener
-// refusal: a second ParamountServer on the same path must fail with
-// kLiveListener (paramountd maps it to exit 3 for either front end), and
-// the live server's socket must be left untouched.
+// The typed live-listener refusal: a second server on the same Unix path
+// must fail with kLiveListener (paramountd maps it to exit 3), and the live
+// server's socket must be left untouched.
 TEST_F(ServiceTest, SecondServerGetsTypedLiveListenerRefusal) {
   start_server();
-  ParamountServer::Options options;
-  options.socket_path = server_->socket_path();
-  ParamountServer second(std::move(options));
+  EpollServer::Options options;
+  options.endpoint = endpoint_;
+  EpollServer second(std::move(options));
   std::string error;
   ListenUnixError why = ListenUnixError::kNone;
   EXPECT_FALSE(second.start(&error, &why));
@@ -771,7 +599,7 @@ TEST_F(ServiceTest, SubmitBudgetEngagesAndPreservesCounts) {
   params.num_threads = 4;
   params.num_locks = 2;
   params.sync_probability = 0.8;
-  ParamountServer::Options options;
+  EpollServer::Options options;
   options.submit_budget_bytes = event_cost_bytes(4);
   start_server(options);
   FrameChannel channel = connect();
@@ -807,7 +635,7 @@ TEST_F(ServiceTest, StateStoreSessionMatchesOracle) {
   params.seed = 7;
   const std::uint64_t total = 3000;
 
-  ParamountServer::Options options;
+  EpollServer::Options options;
   options.state_store_budget_bytes = std::size_t{64} << 20;
   start_server(options);
   FrameChannel channel = connect();
@@ -833,14 +661,16 @@ TEST_F(ServiceTest, StateStoreSessionMatchesOracle) {
   EXPECT_EQ(stats.protocol_errors, 0u);
 }
 
-TEST_F(ServiceTest, StateStoreExhaustionAnswersTypedErrorAndReleasesPins) {
-  // A degenerate budget yields the 64-state minimum store; four unsynced
-  // threads blow through it within a few events. The session must answer a
-  // typed kStateStoreFull Error frame and close — never abort — and every
-  // pinned EnumGuard must be released on the way out.
-  ParamountServer::Options options;
+// A degenerate budget yields the 64-state minimum store; four unsynced
+// threads blow through it within a few events. The session must answer a
+// typed kStateStoreFull Error frame and close in order — the client reads
+// the Error and then EOF, never a reset, although it is still sending when
+// the server gives up on it — and every pinned EnumGuard must be released
+// on the way out. Run over both transports.
+void ServiceTest::exhaust_state_store(Endpoint::Kind kind) {
+  EpollServer::Options options;
   options.state_store_budget_bytes = 1;  // 64-slot minimum store
-  start_server(options);
+  start_server(options, kind);
   FrameChannel channel = connect();
   HelloBody h;
   h.num_threads = 4;
@@ -851,8 +681,9 @@ TEST_F(ServiceTest, StateStoreExhaustionAnswersTypedErrorAndReleasesPins) {
   params.sync_probability = 0.0;  // independent chains: lattice = (k+1)^4
   SyntheticEventStream stream(params);
   std::vector<VectorClock> prev(4, VectorClock(4));
-  // The session closes mid-stream once the latch trips; writes after that
-  // fail with EPIPE, which is the expected shape — keep writing until then.
+  // The session closes mid-stream once the latch trips; a write after the
+  // server has closed fails, which is the expected shape — keep writing
+  // until then.
   for (int i = 0; i < 400; ++i) {
     const SyntheticEventStream::StreamEvent ev = stream.next();
     EventBody body;
@@ -873,6 +704,14 @@ TEST_F(ServiceTest, StateStoreExhaustionAnswersTypedErrorAndReleasesPins) {
   const ServerStats stats = server_->stats();
   EXPECT_EQ(stats.leaked_pins, 0u);
   EXPECT_EQ(stats.sessions_completed, 1u);
+}
+
+TEST_F(ServiceTest, StateStoreExhaustionAnswersTypedErrorAndReleasesPins) {
+  exhaust_state_store(Endpoint::Kind::kUnix);
+}
+
+TEST_F(ServiceTest, StateStoreExhaustionOverTcpAnswersTypedError) {
+  exhaust_state_store(Endpoint::Kind::kTcp);
 }
 
 }  // namespace

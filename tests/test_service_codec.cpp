@@ -4,9 +4,7 @@
 // admission rules and the paramountd flag validation (invalid values exit 2).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "service/daemon_config.hpp"
@@ -275,55 +273,38 @@ TEST(ServiceFrameFuzz, RandomGarbageNeverCrashesDecode) {
 
 TEST(SubmitGate, ChargesAndReleasesWithinBudget) {
   SubmitGate gate(100);
-  gate.acquire(60);
+  EXPECT_TRUE(gate.acquire_or_notify(60, [] {}));
   EXPECT_EQ(gate.in_flight_bytes(), 60u);
-  EXPECT_FALSE(gate.try_acquire(50));  // 60 + 50 > 100
-  EXPECT_TRUE(gate.try_acquire(40));
+  // 60 + 50 > 100: refused without a charge (and withdrawn again).
+  EXPECT_FALSE(gate.acquire_or_notify(50, [] {}, &gate));
+  EXPECT_EQ(gate.in_flight_bytes(), 60u);
+  gate.cancel(&gate);
+  EXPECT_TRUE(gate.acquire_or_notify(40, [] {}));  // 60 + 40 fits exactly
   gate.release(60);
   gate.release(40);
   EXPECT_EQ(gate.in_flight_bytes(), 0u);
-  EXPECT_EQ(gate.stalls(), 0u);
+  EXPECT_EQ(gate.stalls(), 1u);  // the one refusal
 }
 
 TEST(SubmitGate, OversizedItemPassesWhenIdle) {
   // budget < item size must degrade to serial execution, not deadlock.
   SubmitGate gate(10);
-  gate.acquire(100);
+  EXPECT_TRUE(gate.acquire_or_notify(100, [] {}));
   EXPECT_EQ(gate.in_flight_bytes(), 100u);
-  EXPECT_FALSE(gate.try_acquire(1));
+  bool fired = false;
+  EXPECT_FALSE(gate.acquire_or_notify(1, [&] { fired = true; }));
   gate.release(100);
-  EXPECT_TRUE(gate.try_acquire(1));
+  EXPECT_TRUE(fired);
+  EXPECT_TRUE(gate.acquire_or_notify(1, [] {}));
   gate.release(1);
-}
-
-TEST(SubmitGate, BlockedAcquireWakesOnRelease) {
-  // Whether the contending acquire actually reaches the wait before the
-  // release is up to the scheduler, so retry rounds until a stall is
-  // recorded (each round is correct either way: no deadlock, full release).
-  // A round that does stall proves the release wakes the waiter — otherwise
-  // join() would hang and the suite's timeout would flag it.
-  SubmitGate gate(100);
-  for (int round = 0; round < 500 && gate.stalls() == 0; ++round) {
-    gate.acquire(80);
-    std::atomic<bool> started{false};
-    std::thread t([&] {
-      started.store(true);
-      gate.acquire(80);  // over budget while the main charge is in flight
-      gate.release(80);
-    });
-    while (!started.load()) std::this_thread::yield();
-    std::this_thread::yield();  // bias towards the waiter reaching the wait
-    gate.release(80);
-    t.join();
-    ASSERT_EQ(gate.in_flight_bytes(), 0u);
-  }
-  EXPECT_GT(gate.stalls(), 0u);
+  EXPECT_EQ(gate.in_flight_bytes(), 0u);
 }
 
 TEST(SubmitGate, ZeroBudgetDisablesTheGate) {
   SubmitGate gate(0);
-  gate.acquire(std::size_t{1} << 40);  // must not block or charge
-  EXPECT_TRUE(gate.try_acquire(std::size_t{1} << 40));
+  // Must neither refuse nor charge, however large the request.
+  EXPECT_TRUE(gate.acquire_or_notify(std::size_t{1} << 40, [] {}));
+  EXPECT_TRUE(gate.acquire_or_notify(std::size_t{1} << 40, [] {}));
   gate.release(std::size_t{1} << 40);
   EXPECT_EQ(gate.in_flight_bytes(), 0u);
   EXPECT_EQ(gate.stalls(), 0u);
@@ -463,7 +444,6 @@ TEST(DaemonFlags, AcceptsValidValues) {
                "--submit-budget=4M"});
   EXPECT_EQ(config.endpoint.kind, Endpoint::Kind::kUnix);
   EXPECT_EQ(config.endpoint.path, "/tmp/pm.sock");
-  EXPECT_EQ(config.front_end, FrontEnd::kEpoll);
   EXPECT_EQ(config.max_sessions, 4u);
   EXPECT_EQ(config.submit_budget_bytes, std::size_t{4} << 20);
   EXPECT_EQ(config.tenant_budget_bytes, 0u);
@@ -477,23 +457,11 @@ TEST(DaemonFlags, ParsesTcpListenSpec) {
   EXPECT_EQ(config.endpoint.port, 7000u);
 }
 
-TEST(DaemonFlags, ParsesFrontEndTenantBudgetAndAlert) {
+TEST(DaemonFlags, ParsesTenantBudgetAndAlert) {
   const DaemonConfig config =
-      resolve({"--front-end=threads", "--tenant-budget=16M",
-               "--eviction-alert=500"});
-  EXPECT_EQ(config.front_end, FrontEnd::kThreads);
+      resolve({"--tenant-budget=16M", "--eviction-alert=500"});
   EXPECT_EQ(config.tenant_budget_bytes, std::size_t{16} << 20);
   EXPECT_EQ(config.eviction_alert_threshold, 500u);
-}
-
-TEST(DaemonFlags, RejectsUnknownFrontEnd) {
-  EXPECT_EXIT(resolve({"--front-end=fibers"}), ::testing::ExitedWithCode(2),
-              "front-end");
-}
-
-TEST(DaemonFlags, RejectsTcpListenOnThreadFrontEnd) {
-  EXPECT_EXIT(resolve({"--front-end=threads", "--listen=tcp:*:7000"}),
-              ::testing::ExitedWithCode(2), "front-end=threads");
 }
 
 TEST(DaemonFlags, RejectsMalformedTcpPort) {
@@ -522,7 +490,7 @@ TEST(DaemonFlags, RejectsZeroMaxSessions) {
 }
 
 TEST(DaemonFlags, RejectsOutOfRangeMaxSessions) {
-  // The epoll front end raised the ceiling to fd-table scale (2^20); only
+  // The epoll server raised the ceiling to fd-table scale (2^20); only
   // values beyond that are refused now.
   EXPECT_EXIT(resolve({"--max-sessions=2000000"}),
               ::testing::ExitedWithCode(2), "max-sessions");

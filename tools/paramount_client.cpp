@@ -9,9 +9,9 @@
 // exclusive. With --streams=N (synthetic only) the client multiplexes N
 // independent sessions over ONE connection using the v2 frame header's
 // stream ids (ids 1..N, seeds seed..seed+N-1, events interleaved
-// round-robin) — the client-side half of the epoll front end's
-// many-sessions-per-socket design. --streams=1 uses stream id 0 and is
-// byte-compatible with the thread front end.
+// round-robin) — the client-side half of the server's
+// many-sessions-per-socket design. --streams=1 uses stream id 0: one
+// session per connection.
 //
 // Output is `key: value` lines so shell checks can grep exact fields.
 // Exit codes: 0 success, 1 protocol/transport failure or oracle mismatch,
