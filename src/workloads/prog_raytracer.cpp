@@ -6,6 +6,8 @@
 // known bug: one racy variable (checksum), the single detection of Table 2.
 #include "workloads/programs_internal.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <thread>
@@ -80,9 +82,20 @@ void run_raytracer(TraceRuntime& rt, std::size_t scale) {
   TracedVar<int> next_row(rt, "nextRow", 0);
   TracedVar<double> checksum(rt, "checksum", 0.0);
 
+  // Untraced first-round gate: a worker that has claimed its first row waits
+  // until every worker has claimed one. A row takes less time than forking a
+  // thread, so without the gate the first worker claims the whole image
+  // before the others exist and the run is serialized. With it, every
+  // worker's first checksum update follows all first claims, so the updates
+  // are pairwise concurrent in every run. The gate is unmonitored: it adds
+  // real-time overlap and no traced happened-before edge.
+  std::atomic<std::size_t> first_claims{0};
+  const std::size_t gate = std::min(kWorkers, height);
+
   std::vector<std::unique_ptr<TracedThread>> workers;
   for (std::size_t w = 0; w < kWorkers; ++w) {
     workers.push_back(std::make_unique<TracedThread>(rt, [&] {
+      bool first_row = true;
       while (true) {
         int row;
         {
@@ -90,6 +103,14 @@ void run_raytracer(TraceRuntime& rt, std::size_t scale) {
           row = next_row.load();
           if (row >= static_cast<int>(height)) break;
           next_row.store(row + 1);
+        }
+        if (first_row) {
+          first_row = false;
+          // relaxed: the counter only paces the workers; it publishes no data.
+          first_claims.fetch_add(1, std::memory_order_relaxed);
+          while (first_claims.load(std::memory_order_relaxed) < gate) {
+            rt.sched_yield();
+          }
         }
         // Give the other workers a chance to claim their rows before this
         // row's unsynchronized checksum update is flushed: on a single-core
