@@ -2,12 +2,13 @@
 // (Algorithm 1 of the paper).
 //
 // The driver fixes a linear extension →p, computes the interval I(e) of every
-// event, and lets worker threads pull intervals off a shared counter —
-// exactly the paper's ParaMountWorker, which fetches "the next event in the
-// total order →p". Each interval is enumerated with a *bounded* sequential
-// subroutine (Algorithm 2); because the intervals partition the lattice
-// (Theorem 2), every consistent state is delivered to the visitor exactly
-// once, and total work is that of the sequential subroutine (work-optimal).
+// event, and deals the intervals to per-worker work-stealing deques. The
+// streaming variant below keeps the paper's ParaMountWorker, which fetches
+// "the next event in the total order →p" from a shared cursor. Each interval
+// is enumerated with a *bounded* sequential subroutine (Algorithm 2); because
+// the intervals partition the lattice (Theorem 2), every consistent state is
+// delivered to the visitor exactly once, and total work is that of the
+// sequential subroutine (work-optimal).
 #pragma once
 
 #include <cstdint>
@@ -25,18 +26,15 @@ struct ParamountOptions {
   EnumAlgorithm subroutine = EnumAlgorithm::kLexical;
   TopoPolicy topo_policy = TopoPolicy::kInterleave;
   std::uint64_t seed = 0;
-  // Events claimed per visit to the shared work queue. 1 reproduces the
-  // paper's Algorithm 1 exactly; larger chunks amortize queue contention at
-  // the cost of coarser load balancing (tail intervals are the big ones).
+  // Events per unit of work. Work is distributed through per-worker
+  // work-stealing deques (util/work_stealing.hpp), and idle workers steal.
+  // The offline driver deals chunks of this many intervals round-robin into
+  // the deques up front. The streaming driver claims this many events from
+  // its shared cursor per visit and parks all but the first in the
+  // claimer's deque, so with 1 it reproduces the paper's Algorithm 1
+  // exactly. Larger chunks amortize queue contention at the cost of coarser
+  // load balancing (tail intervals are the big ones).
   std::size_t chunk_size = 1;
-  // When true (default), work is distributed through per-worker
-  // work-stealing deques (util/work_stealing.hpp): the offline driver seeds
-  // each worker's deque with owner-local chunks, the streaming driver's
-  // cursor lock shrinks to the Gbnd-snapshot block and claimed batches land
-  // in the claimer's deque, and idle workers steal. When false, the drivers
-  // fall back to the shared fetch_add counter / cursor-only claiming
-  // (`--no-steal` in the CLI, kept for A/B benching).
-  bool steal = true;
   // Optional shared memory meter (thread-safe); lets B-Para reproduce the
   // bounded-memory behaviour of Table 1.
   MemoryMeter* meter = nullptr;

@@ -1,6 +1,5 @@
 #include "poset/clock_backend.hpp"
 
-#include "poset/epoch.hpp"
 #include "poset/tree_clock.hpp"
 #include "util/check.hpp"
 
@@ -12,8 +11,6 @@ const char* clock_backend_name(ClockBackend backend) {
       return "flat";
     case ClockBackend::kTree:
       return "tree";
-    case ClockBackend::kEpoch:
-      return "epoch";
   }
   return "?";
 }
@@ -30,7 +27,7 @@ bool parse_clock_backend(const std::string& name, ClockBackend* out) {
 
 const std::vector<ClockBackend>& all_clock_backends() {
   static const std::vector<ClockBackend> kAll = {
-      ClockBackend::kFlat, ClockBackend::kTree, ClockBackend::kEpoch};
+      ClockBackend::kFlat, ClockBackend::kTree};
   return kAll;
 }
 
@@ -170,92 +167,6 @@ class TreeClockEngine final : public ClockEngine {
   std::vector<VectorClock> flat_cache_;
 };
 
-// Epoch compression (FastTrack-flavored): a thread's clock is an immutable
-// shared base plus its own component kept as an epoch. Local steps advance
-// the epoch only (O(1) state mutation, no array writes); Algorithm 3's
-// "vcj ← vci" timeline adoption is a shared_ptr copy instead of an
-// O(#threads) array copy, and timelines never own storage at all.
-class EpochClockEngine final : public ClockEngine {
- public:
-  explicit EpochClockEngine(std::size_t num_threads)
-      : ClockEngine(num_threads) {
-    auto zero = std::make_shared<const VectorClock>(VectorClock(num_threads));
-    threads_.resize(num_threads);
-    for (std::size_t t = 0; t < num_threads; ++t) {
-      threads_[t].own = Epoch{static_cast<ThreadId>(t), 0};
-      threads_[t].base = zero;  // every thread shares one zero clock
-    }
-  }
-
-  ClockBackend backend() const override { return ClockBackend::kEpoch; }
-
-  void local_step(ThreadId tid, VectorClock* out) override {
-    ThreadState& ts = threads_[tid];
-    ts.own.clk += 1;
-    materialize(ts, out);
-  }
-
-  void sync_step(ThreadId tid, std::size_t timeline,
-                 VectorClock* out) override {
-    ThreadState& ts = threads_[tid];
-    ts.own.clk += 1;
-    VectorClock merged = *ts.base;
-    merged[tid] = ts.own.clk;
-    work_ += num_threads_;
-    auto& tl = timeline_ref(timeline);
-    if (tl != nullptr) {
-      merged.join(*tl);
-      ts.own.clk = merged[tid];  // a timeline can know a fork-absorbed tick
-      work_ += num_threads_;
-    }
-    auto shared = std::make_shared<const VectorClock>(std::move(merged));
-    ts.base = shared;
-    tl = std::move(shared);  // vcj ← vci: refcount bump, no copy
-    *out = *ts.base;
-  }
-
-  void absorb_step(ThreadId dst, ThreadId src, VectorClock* out) override {
-    ThreadState& ts = threads_[dst];
-    const ThreadState& ss = threads_[src];
-    ts.own.clk += 1;
-    VectorClock merged = *ts.base;
-    merged[dst] = ts.own.clk;
-    merged.join(*ss.base);
-    if (ss.own.clk > merged[src]) merged[src] = ss.own.clk;
-    ts.own.clk = merged[dst];
-    ts.base = std::make_shared<const VectorClock>(std::move(merged));
-    *out = *ts.base;
-    work_ += 2 * num_threads_;
-  }
-
-  void snapshot(ThreadId tid, VectorClock* out) const override {
-    materialize(threads_[tid], out);
-  }
-
-  std::uint64_t join_work() const override { return work_; }
-
- private:
-  struct ThreadState {
-    std::shared_ptr<const VectorClock> base;
-    Epoch own;  // own component, authoritative over base[tid]
-  };
-
-  static void materialize(const ThreadState& ts, VectorClock* out) {
-    *out = *ts.base;
-    (*out)[ts.own.tid] = ts.own.clk;
-  }
-
-  std::shared_ptr<const VectorClock>& timeline_ref(std::size_t timeline) {
-    if (timeline >= timelines_.size()) timelines_.resize(timeline + 1);
-    return timelines_[timeline];
-  }
-
-  std::vector<ThreadState> threads_;
-  // nullptr = the timeline has never been written (all-zero clock).
-  std::vector<std::shared_ptr<const VectorClock>> timelines_;
-  std::uint64_t work_ = 0;
-};
-
 }  // namespace
 
 std::unique_ptr<ClockEngine> ClockEngine::make(ClockBackend backend,
@@ -265,8 +176,6 @@ std::unique_ptr<ClockEngine> ClockEngine::make(ClockBackend backend,
       return std::make_unique<FlatClockEngine>(num_threads);
     case ClockBackend::kTree:
       return std::make_unique<TreeClockEngine>(num_threads);
-    case ClockBackend::kEpoch:
-      return std::make_unique<EpochClockEngine>(num_threads);
   }
   PM_CHECK(false && "unknown clock backend");
   return nullptr;

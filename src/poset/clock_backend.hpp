@@ -11,10 +11,7 @@
 //                    partner adopting (fork/join edges).
 // ClockEngine abstracts the representation behind those steps:
 //   * kFlat  — VectorClock arrays, O(#threads) per join (the baseline);
-//   * kTree  — TreeClock, joins/adoptions touch only unseen components;
-//   * kEpoch — copy-on-write clocks: a shared immutable base plus the own
-//              component as an epoch, so local steps mutate O(1) state and
-//              timeline adoption is a reference-count bump.
+//   * kTree  — TreeClock, joins/adoptions touch only unseen components.
 //
 // Every step still *materializes* the flat clock into `out`, because the
 // event/wire/storage layer is deliberately backend-agnostic: frontiers,
@@ -37,11 +34,10 @@ namespace paramount {
 enum class ClockBackend : std::uint8_t {
   kFlat = 0,
   kTree = 1,
-  kEpoch = 2,
 };
 
 const char* clock_backend_name(ClockBackend backend);
-// Parses "flat" / "tree" / "epoch"; returns false on anything else.
+// Parses "flat" / "tree"; returns false on anything else.
 bool parse_clock_backend(const std::string& name, ClockBackend* out);
 // All backends, for differential harnesses and --help text.
 const std::vector<ClockBackend>& all_clock_backends();

@@ -75,6 +75,13 @@ StateStore::StateStore(std::size_t num_threads, std::size_t slots,
   }
 }
 
+StateStore::~StateStore() {
+  for (std::size_t c = 0; c < num_chunks_; ++c) {
+    // relaxed: destruction is single-threaded; the writers have quiesced.
+    delete[] chunks_[c].load(std::memory_order_relaxed);
+  }
+}
+
 EventIndex* StateStore::chunk_for(StateId id) {
   std::atomic<EventIndex*>& slot = chunks_[id / kChunkStates];
   EventIndex* chunk = slot.load(std::memory_order_acquire);

@@ -127,6 +127,7 @@ class StateStore {
   // which C++17 constructs in place.
   StateStore(const StateStore&) = delete;
   StateStore& operator=(const StateStore&) = delete;
+  ~StateStore();
 
   std::size_t num_threads() const { return width_; }
   std::size_t capacity() const { return max_states_; }

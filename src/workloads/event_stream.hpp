@@ -3,7 +3,7 @@
 //
 // Unlike make_random_poset, nothing is materialized up front: per-thread and
 // per-lock clocks are rolled forward with Algorithm 3 behind a pluggable
-// ClockEngine (flat/tree/epoch) and each next() yields one ready-to-submit
+// ClockEngine (flat/tree) and each next() yields one ready-to-submit
 // event —
 // so the generator itself runs in O(num_threads) memory regardless of how
 // many events are drawn, and the poset under test is the only thing whose

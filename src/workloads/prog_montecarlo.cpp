@@ -7,6 +7,8 @@
 // racy variable (debugTasks), everything else is clean.
 #include "workloads/programs_internal.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -43,9 +45,21 @@ void run_montecarlo(TraceRuntime& rt, std::size_t scale) {
   // BUG (from the original): a debug statistic updated with no lock.
   TracedVar<int> debug_tasks(rt, "debugTasks", 0);
 
+  // Untraced first-round gate: a worker that has claimed its first task
+  // waits until every worker has claimed one. A task takes less time than
+  // forking a thread, so without the gate the first worker can run every
+  // task before the others exist, and the initialization-write exemption
+  // then hides the race. With it, every worker's first debugTasks update
+  // follows all first claims, so the updates are pairwise concurrent in
+  // every run. The gate adds real-time overlap and no traced
+  // happened-before edge.
+  std::atomic<std::size_t> first_claims{0};
+  const std::size_t gate = std::min(kWorkers, num_tasks);
+
   std::vector<std::unique_ptr<TracedThread>> workers;
   for (std::size_t w = 0; w < kWorkers; ++w) {
     workers.push_back(std::make_unique<TracedThread>(rt, [&] {
+      bool first_task = true;
       while (true) {
         int task;
         {
@@ -53,6 +67,14 @@ void run_montecarlo(TraceRuntime& rt, std::size_t scale) {
           task = next_task.load();
           if (task >= static_cast<int>(num_tasks)) break;
           next_task.store(task + 1);
+        }
+        if (first_task) {
+          first_task = false;
+          // relaxed: the counter only paces the workers; it publishes no data.
+          first_claims.fetch_add(1, std::memory_order_relaxed);
+          while (first_claims.load(std::memory_order_relaxed) < gate) {
+            rt.sched_yield();
+          }
         }
         rt.sched_yield();  // single-core schedule diversification
         const double payoff = simulate_path(task);

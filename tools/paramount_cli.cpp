@@ -230,7 +230,6 @@ int run_count(const Poset& poset, const CliFlags& flags) {
       flags.get_int_in_range("workers", 1, 1 << 14));
   options.chunk_size = static_cast<std::size_t>(
       flags.get_int_in_range("chunk", 1, std::int64_t{1} << 30));
-  options.steal = flags.get_bool("steal");
   options.subroutine = parse_algorithm(flags.get_string("algorithm"));
   options.topo_policy = parse_policy(flags.get_string("order"));
   const bool streaming = flags.get_bool("streaming");
@@ -266,12 +265,10 @@ int run_count(const Poset& poset, const CliFlags& flags) {
   std::printf("consistent global states: %s\n",
               format_count(result.states).c_str());
   std::printf(
-      "algorithm: ParaMount(%s, %zu workers, %s order%s, chunk %zu, %s), "
-      "%s\n",
+      "algorithm: ParaMount(%s, %zu workers, %s order%s, chunk %zu), %s\n",
       to_string(options.subroutine), options.num_workers,
       to_string(options.topo_policy), streaming ? ", streaming" : "",
-      options.chunk_size, options.steal ? "steal" : "no-steal",
-      format_seconds(elapsed).c_str());
+      options.chunk_size, format_seconds(elapsed).c_str());
 
   if (store != nullptr) {
     store->publish_stats(&telemetry);
@@ -301,7 +298,7 @@ int run_online(const CliFlags& flags) {
   const std::string backend_name = flags.get_string("clock-backend");
   if (!parse_clock_backend(backend_name, &sp.clock_backend)) {
     std::fprintf(stderr,
-                 "error: unknown --clock-backend '%s' (flat | tree | epoch)\n",
+                 "error: unknown --clock-backend '%s' (flat | tree)\n",
                  backend_name.c_str());
     return 2;
   }
@@ -511,9 +508,6 @@ int main(int argc, char** argv) {
                    "interleave | thread-major | random");
   flags.add_int("workers", 4, "ParaMount workers for count mode");
   flags.add_int("chunk", 1, "count mode: intervals claimed per queue visit");
-  flags.add_bool("steal", true,
-                 "count mode: work-stealing scheduler (--no-steal = "
-                 "PR-1 shared counter/cursor, for A/B benching)");
   flags.add_bool("streaming", false,
                  "count mode: use the streaming driver (real queue waits)");
   flags.add_string("metrics-json", "",
@@ -544,7 +538,7 @@ int main(int argc, char** argv) {
                 "online mode: exit 1 if peak RSS exceeds this (0 = off)");
   flags.add_string("clock-backend", "flat",
                    "online mode: clock representation rolling the stream "
-                   "(flat | tree | epoch); state counts are identical");
+                   "(flat | tree); state counts are identical");
   if (!flags.parse(argc, argv)) return 0;
 
   const std::string mode = flags.get_string("mode");

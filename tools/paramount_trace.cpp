@@ -111,8 +111,8 @@ int run_gen(int argc, char** argv) {
   flags.add_int("events", 20000, "events to generate");
   flags.add_int("seed", 42, "scenario seed");
   flags.add_string("clock-backend", "flat",
-                   "clock representation rolling the stream (flat | tree | "
-                   "epoch); the .pmt bytes are identical across backends");
+                   "clock representation rolling the stream (flat | tree); "
+                   "the .pmt bytes are identical across backends");
   flags.add_string("out", "", "output .pmt path (single scenario)");
   flags.add_string("out-dir", "",
                    "output directory (required for --scenario=all; files "
@@ -130,7 +130,7 @@ int run_gen(int argc, char** argv) {
   const std::string backend_name = flags.get_string("clock-backend");
   if (!parse_clock_backend(backend_name, &params.clock_backend)) {
     std::fprintf(stderr,
-                 "error: unknown --clock-backend '%s' (flat | tree | epoch)\n",
+                 "error: unknown --clock-backend '%s' (flat | tree)\n",
                  backend_name.c_str());
     return 2;
   }
