@@ -12,6 +12,7 @@
 #include "core/interval.hpp"
 #include "core/online_paramount.hpp"
 #include "core/paramount.hpp"
+#include "detect/race_report.hpp"
 #include "enumeration/bfs_enumerator.hpp"
 #include "enumeration/lexical_enumerator.hpp"
 #include "obs/telemetry.hpp"
@@ -252,6 +253,27 @@ void BM_ParamountDriverTelemetry(benchmark::State& state) {
   paramount_driver_bench(state, true);
 }
 BENCHMARK(BM_ParamountDriverTelemetry);
+
+// ---- detect ----
+
+// RaceReport::add on a variable that is already recorded, the case the race
+// predicate hits on almost every state of a racy run (the unit-level twin
+// of perfbench's detect.check_ns_per_state / check_contended_ns_per_state
+// pair). Every thread shares one report, so the per-add time should stay
+// flat as threads are added.
+void BM_RaceReportAddRecorded(benchmark::State& state) {
+  static RaceReport report;
+  constexpr VarId kVar = 17;
+  report.add(kVar, EventId{0, 1}, EventId{1, 1});
+  const auto tid = static_cast<ThreadId>(state.thread_index());
+  EventIndex i = 1;
+  for (auto _ : state) {
+    report.add(kVar, EventId{tid, i}, EventId{tid, i + 1});
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RaceReportAddRecorded)->Threads(1)->Threads(4);
 
 // ---- scheduler ----
 

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "detect/offline_bfs_detector.hpp"
 #include "detect/online_detector.hpp"
 #include "poset/poset_builder.hpp"
+#include "util/rng.hpp"
 
 namespace paramount {
 namespace {
@@ -161,6 +165,101 @@ TEST(OnlineDetector, PredictsFigure1Race) {
   // here records only the 3 collections: i(P) = lattice of 2 chain events ×
   // 1, constrained by e1 → e2: frontiers {i,j}, j=1 → i ≥ 1: 5 states.
   EXPECT_EQ(detector.states_enumerated(), 5u);
+}
+
+// A four-thread trace over more racy variables than RaceReport has hint
+// slots, so concurrent adds collide in them. Each collection touches a
+// random subset of kVars variables; random lock hand-offs order some pairs.
+// Events are kept in generation order, a linearization of →p.
+struct ManyVarTrace {
+  static constexpr std::size_t kThreads = 4;
+  static constexpr int kCollections = 12;  // per thread
+  static constexpr int kAccesses = 24;     // per collection, before merging
+  static constexpr VarId kVars = 200;
+
+  struct Ev {
+    ThreadId tid;
+    OpKind kind;
+    std::uint32_t object;
+    VectorClock clock;
+  };
+  AccessTable table{kThreads};
+  std::vector<Ev> events;
+
+  explicit ManyVarTrace(std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<VectorClock> clocks(kThreads, VectorClock(kThreads));
+    VectorClock lock(kThreads);
+    std::vector<int> remaining(kThreads, kCollections);
+    int left = static_cast<int>(kThreads) * kCollections;
+    while (left > 0) {
+      const auto t = static_cast<ThreadId>(rng.next_below(kThreads));
+      if (remaining[t] == 0) continue;
+      if (rng.next_bool(0.3)) {
+        const OpKind kind =
+            rng.next_bool(0.5) ? OpKind::kRelease : OpKind::kAcquire;
+        events.push_back(
+            {t, kind, 0, calculate_vector_clock(t, clocks[t], lock)});
+        continue;
+      }
+      AccessSet set;
+      for (int a = 0; a < kAccesses; ++a) {
+        set.merge(static_cast<VarId>(rng.next_below(kVars)),
+                  rng.next_bool(0.5), false);
+      }
+      clocks[t][t] += 1;
+      events.push_back({t, OpKind::kCollection,
+                        table.append(t, std::move(set)), clocks[t]});
+      --remaining[t];
+      --left;
+    }
+  }
+};
+
+std::vector<VarId> racy_vars(const RaceReport& report) {
+  std::vector<VarId> vars;
+  for (const RaceFinding& f : report.findings()) vars.push_back(f.var);
+  return vars;
+}
+
+std::vector<VarId> online_racy_vars(const ManyVarTrace& trace,
+                                    std::size_t async_workers) {
+  OnlineRaceDetector::Options options;
+  options.async_workers = async_workers;
+  OnlineRaceDetector detector(ManyVarTrace::kThreads, options);
+  detector.attach(trace.table);
+  for (const ManyVarTrace::Ev& ev : trace.events) {
+    detector.on_event(ev.tid, ev.kind, ev.object, ev.clock);
+  }
+  detector.drain();
+  EXPECT_EQ(detector.window_evictions(), 0u);
+  return racy_vars(detector.report());
+}
+
+// The pooled detector's workers share one RaceReport; with more racy
+// variables than hint slots, their adds meet on occupied slots. Inline,
+// pooled and the offline BFS oracle must still name the same variables.
+TEST(OnlineDetector, ManyRacyVarsAgreeInlinePooledAndOfflineBfs) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    const ManyVarTrace trace(seed);
+
+    PosetBuilder builder(ManyVarTrace::kThreads);
+    for (const ManyVarTrace::Ev& ev : trace.events) {
+      builder.add_event_with_clock(ev.tid, ev.kind, ev.object, ev.clock);
+    }
+    const Poset poset = std::move(builder).build();
+    RaceReport offline;
+    ASSERT_FALSE(
+        detect_races_offline_bfs(poset, trace.table, offline).out_of_memory);
+    const std::vector<VarId> expected = racy_vars(offline);
+    ASSERT_GT(expected.size(), RaceReport::kHints);
+    // Not every variable races, so agreement is not trivial.
+    ASSERT_LT(expected.size(), std::size_t{ManyVarTrace::kVars});
+
+    EXPECT_EQ(online_racy_vars(trace, 0), expected);
+    EXPECT_EQ(online_racy_vars(trace, 3), expected);
+  }
 }
 
 }  // namespace
