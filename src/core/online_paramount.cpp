@@ -4,7 +4,12 @@ namespace paramount {
 
 OnlineParamount::OnlineParamount(std::size_t num_threads, Options options,
                                  IntervalStateVisitor visit)
-    : poset_(num_threads), options_(options), visit_(std::move(visit)) {
+    : poset_(num_threads),
+      options_(options),
+      visit_(std::move(visit)),
+      slots_(options.async_workers > 0 && options.window_policy.enabled()
+                 ? kInFlightIntervalsPerWorker * options.async_workers
+                 : 0) {
   PM_CHECK(visit_ != nullptr);
   obs::Telemetry* const tel = options_.telemetry;
   PM_CHECK_MSG(tel == nullptr || tel->num_shards() >=
@@ -24,6 +29,13 @@ OnlineParamount::~OnlineParamount() {
 
 EventId OnlineParamount::submit(ThreadId tid, OpKind kind,
                                 std::uint32_t object, VectorClock clock) {
+  // Windowed pooled mode: take an in-flight slot first, waiting while the
+  // cap is reached until a finished interval releases one (a no-op when
+  // uncapped). The wait comes before insert(), so it holds no poset lock.
+  // It must never run on a pool worker — the intervals it waits for could
+  // then never finish — which is one reason a visitor or interval_done must
+  // not call back into the driver.
+  slots_.acquire(1);
   obs::Telemetry* const tel = options_.telemetry;
   const std::uint64_t insert_ns =
       tel != nullptr ? tel->tracer().now_ns() : 0;
@@ -150,6 +162,9 @@ void OnlineParamount::enumerate_interval(const OnlinePoset::Inserted& ins) {
   // the interval no longer holds any storage against reclamation, so a
   // collect() triggered by the listener sees the watermark it expects.
   guard.release();
+  // The pin is gone, so the slot may go too: in-flight pins never exceed
+  // the cap. This wakes a submitter waiting at the cap.
+  slots_.release(1);
   if (options_.interval_done) options_.interval_done(ins.id);
 }
 

@@ -13,7 +13,11 @@
 //     detector ("after a thread executes an event, the thread is immediately
 //     used to enumerate the interval");
 //   * pooled (async_workers > 0): intervals are queued to a dedicated worker
-//     pool and submission returns immediately; call drain() to synchronize.
+//     pool and submission returns once the interval is queued; call drain()
+//     to synchronize. With a window policy, at most in_flight_cap()
+//     intervals are in flight (each holds a window pin): submit() waits
+//     while the cap is reached, until a finished interval wakes it. Without
+//     a window policy submission never waits.
 #pragma once
 
 #include <atomic>
@@ -23,6 +27,7 @@
 
 #include "enumeration/dispatch.hpp"
 #include "poset/online_poset.hpp"
+#include "util/submit_gate.hpp"
 #include "util/thread_pool.hpp"
 
 namespace paramount {
@@ -32,12 +37,27 @@ class OnlineParamount {
   // Sliding-window reclamation policy (see OnlinePoset). When enabled, every
   // interval pins its Gmin for the duration of its enumeration and submit()
   // periodically runs OnlinePoset::collect() to retire settled prefix
-  // storage, keeping week-long monitored runs in bounded memory.
+  // storage. In pooled mode the policy also caps the in-flight intervals
+  // (kInFlightIntervalsPerWorker), so a producer that outruns the workers
+  // waits instead of holding the watermark back: the resident poset stays
+  // bounded by the cap, the collect cadence and the longest interval's box,
+  // not by the stream's length — what keeps week-long monitored runs in
+  // bounded memory.
   struct WindowPolicy {
     std::uint64_t gc_every = 0;   // collect() every N inserts (0 = off)
     std::size_t window_bytes = 0;  // collect() when heap_bytes() exceeds this
     bool enabled() const { return gc_every > 0 || window_bytes > 0; }
   };
+
+  // In-flight cap of a windowed pooled driver, per pool worker. Rule: the
+  // queue only has to keep each worker busy while the producer is off the
+  // CPU, which a runnable thread can be for about one scheduler period
+  // (6 ms by default on Linux). The cheapest interval — one state, as in a
+  // lock convoy — takes a worker 1–2 µs (perfbench convoy-8, offline: 1.8 M
+  // one-state intervals/s on 3 workers of a 4-core x86 box), so 4096
+  // queued intervals per worker cover it; a deeper queue adds pinned memory
+  // and verdict latency, not throughput. Fixed: no flag or option.
+  static constexpr std::size_t kInFlightIntervalsPerWorker = 4096;
 
   struct Options {
     EnumAlgorithm subroutine = EnumAlgorithm::kLexical;
@@ -80,8 +100,29 @@ class OnlineParamount {
 
   // Inserts an event (clock already computed per Algorithm 3) and enumerates
   // its interval per the execution mode. Thread-safe. Returns the event id.
+  // In windowed pooled mode it first waits while in_flight_cap() intervals
+  // are in flight; the wait holds no poset lock. Never call it from a
+  // visitor or interval_done: on a pool worker that wait could never end.
   EventId submit(ThreadId tid, OpKind kind, std::uint32_t object,
                  VectorClock clock);
+
+  // The non-waiting admission check for a caller that must never block
+  // (paramountd's reactor) and is this driver's only producer: returns true
+  // if the next submit() will not wait; otherwise queues `on_ready` to run
+  // once, on the pool worker that retires an interval, and returns false.
+  // Only submit() takes a slot, so the answer holds until the caller's own
+  // submit(). Always true when the driver is uncapped.
+  bool ready_or_notify(std::function<void()> on_ready) {
+    return slots_.ready_or_notify(1, std::move(on_ready));
+  }
+
+  // Most intervals in flight at once: kInFlightIntervalsPerWorker × pool
+  // workers with a window policy in pooled mode, 0 (uncapped) otherwise.
+  std::size_t in_flight_cap() const { return slots_.budget_bytes(); }
+
+  // submit() calls that waited at the cap plus refused ready_or_notify()
+  // calls (0 when uncapped).
+  std::uint64_t admission_stalls() const { return slots_.stalls(); }
 
   // Waits until every queued interval has been enumerated (no-op inline).
   void drain();
@@ -117,6 +158,9 @@ class OnlineParamount {
   OnlinePoset poset_;
   Options options_;
   IntervalStateVisitor visit_;
+  // In-flight interval cap, one unit per interval (budget 0 = uncapped).
+  // Declared before pool_ so it outlives the workers that release it.
+  SubmitGate slots_;
   std::unique_ptr<ThreadPool> pool_;  // null in inline mode
   std::atomic<std::uint64_t> states_{0};
   std::atomic<std::uint64_t> intervals_{0};

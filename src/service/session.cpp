@@ -195,11 +195,15 @@ SessionCore::Disposition SessionCore::handle_event(const EventBody& body) {
 }
 
 SessionCore::Disposition SessionCore::submit_pending() {
-  // Backpressure: admit against the in-flight interval budget; pooled
-  // workers return the charge via interval_done.
-  if (!gate_->acquire_or_notify(event_cost_, gate_ready_, this)) {
-    // Stays stashed; the owner stops reading this session until the gate's
-    // release fires gate_ready_ and retry_pending() wins admission.
+  // Backpressure that never waits on the reactor. First the driver's
+  // in-flight cap (windowed pooled sessions): this session is the driver's
+  // only producer, so room seen here is still there at on_event below, and
+  // submit() does not wait. Then the session's byte budget; pooled workers
+  // return that charge via interval_done.
+  if (!detector_->paramount().ready_or_notify(gate_ready_) ||
+      !gate_->acquire_or_notify(event_cost_, gate_ready_, this)) {
+    // Stays stashed; the owner stops reading this session until a release
+    // fires gate_ready_ and retry_pending() wins admission on both.
     ++result_.submit_stalls;
     return Disposition::kBlocked;
   }
@@ -316,7 +320,9 @@ void SessionCore::finish() {
   // dropping it leaks nothing. Retract any still-queued gate registration
   // too: on a shared tenant gate a dead session's waiter would otherwise
   // consume a wake-up without ever re-acquiring (and a big one at the
-  // head of the FIFO would hold up smaller live waiters behind it).
+  // head of the FIFO would hold up smaller live waiters behind it). A
+  // waiter queued on the driver's cap needs no retraction: the drain below
+  // retires every interval, which fires it, and the driver dies with us.
   if (gate_ != nullptr) gate_->cancel(this);
   pending_.reset();
   if (detector_ != nullptr) {

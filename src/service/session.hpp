@@ -15,9 +15,10 @@
 // decoded payloads and emits reply frames through a send callback. The
 // epoll server (service/epoll_server.hpp) drives one SessionCore per
 // multiplexed stream. Submit backpressure never blocks: a full submit
-// budget returns kBlocked with the event stashed, the gate's release wakes
-// the loop, which calls retry_pending() and resumes reading that
-// connection.
+// budget, or a windowed pooled driver at its in-flight interval cap
+// (OnlineParamount::in_flight_cap), returns kBlocked with the event
+// stashed; the release wakes the loop, which calls retry_pending() and
+// resumes reading that connection.
 //
 // The reactor thread is the only one that feeds any given SessionCore, so
 // the core owns all program-thread telemetry shards (0..num_threads-1);
@@ -68,6 +69,7 @@ class SessionCore {
     std::uint64_t frames = 0;    // well-formed frames handled
     std::uint64_t protocol_errors = 0;  // Error frames sent
     std::uint64_t submit_stalls = 0;  // submissions that had to wait
+                                      // (budget or in-flight cap)
     bool hello_seen = false;
     bool clean_shutdown = false;  // ended via the Shutdown/Goodbye handshake
   };
@@ -76,8 +78,9 @@ class SessionCore {
   enum class Disposition {
     kContinue,  // keep reading
     kClose,     // session over (Goodbye sent, Error sent, or transport dead)
-    kBlocked,   // submit budget full: event stashed; stop reading this
-                // session and call retry_pending() after on_gate_ready fires
+    kBlocked,   // submit budget full or driver at its in-flight cap: event
+                // stashed; stop reading this session and call
+                // retry_pending() after the gate-ready hook fires
   };
 
   // Emits one reply frame; returns false when the transport is dead (the
@@ -101,8 +104,9 @@ class SessionCore {
   void set_gate_provider(GateProvider provider) {
     gate_provider_ = std::move(provider);
   }
-  // Invoked (from SubmitGate::release, any thread) when budget may have
-  // freed after a kBlocked; the owner schedules retry_pending().
+  // Invoked (from SubmitGate::release, any thread — a pool worker retiring
+  // an interval) when budget or an in-flight slot may have freed after a
+  // kBlocked; the owner schedules retry_pending().
   void set_gate_ready(std::function<void()> on_ready) {
     gate_ready_ = std::move(on_ready);
   }

@@ -1,24 +1,28 @@
-// Byte-budget admission gate for producer → worker-pool handoffs.
+// Budget-based admission gate for producer → worker-pool handoffs.
 //
-// The PR-3 follow-on: the sliding-window GC bounds the *poset*, but in
-// pooled online mode the submit queue itself can become the resident-memory
-// driver — a client streaming events faster than the enumeration workers
-// retire them grows the ThreadPool's task queues without bound. The gate
-// charges a byte cost per submission and refuses admission once the
-// in-flight total would exceed the budget, so the service stops reading the
-// producer's socket and the *client* absorbs the backlog instead of the
-// server ballooning.
+// Two owners charge it. OnlineParamount holds one per windowed pooled
+// driver and charges one unit per in-flight interval: every queued interval
+// pins its Gmin, so without a cap a producer that outruns the workers would
+// hold the sliding window's watermark back and the poset would grow with
+// the stream. paramountd's sessions hold a second gate, counted in bytes
+// (`--submit-budget`, or one gate per tenant with `--tenant-budget`): once
+// over budget the service stops reading the producer's socket and the
+// *client* absorbs the backlog. The unit is the owner's choice; the
+// parameters below say "bytes" after the service's use.
 //
 // Admission rule: a request is admitted when it fits the budget, or when
 // nothing is in flight (an oversized single item must still make progress —
 // the classic bounded-queue passage rule, so budget < item size degrades to
 // serial execution rather than deadlock). Budget 0 disables the gate.
 //
-// Admission never blocks: acquire_or_notify() either charges at once or
-// queues a one-shot callback fired on a later release() — the epoll
-// server's "pause this connection's reads, resume when quota frees" hook. One
-// gate may be shared by many sessions (per-tenant quotas): released budget
-// wakes queued notifiers FIFO-first.
+// In-process producers use acquire(), which waits for a release(). The
+// epoll reactor must never wait, so its sessions use the non-blocking pair:
+// acquire_or_notify() either charges at once or queues a one-shot callback
+// fired on a later release() — the "pause this connection's reads, resume
+// when quota frees" hook — and ready_or_notify() does the same without
+// charging, for a gate whose only charger is the caller. One gate may be
+// shared by many sessions (per-tenant quotas): released budget wakes queued
+// notifiers FIFO-first.
 //
 // A queued notifier only ever RE-ATTEMPTS admission — it may not win, and
 // (when its session died between queueing and firing) it may not even try.
@@ -63,15 +67,33 @@ class SubmitGate {
   // re-attempt, so its teardown can retract the registration.
   bool acquire_or_notify(std::size_t bytes, std::function<void()> notify,
                          const void* owner = nullptr) {
-    if (budget_ == 0) return true;
+    return admit_or_queue(bytes, /*charge=*/true, std::move(notify), owner);
+  }
+
+  // Like acquire_or_notify(), but charges nothing: returns true if `bytes`
+  // is admissible now. Meant for a caller that is the gate's only charger —
+  // then nothing but its own next acquire() can take the room back, so that
+  // acquire() will not wait.
+  bool ready_or_notify(std::size_t bytes, std::function<void()> notify,
+                       const void* owner = nullptr) {
+    return admit_or_queue(bytes, /*charge=*/false, std::move(notify), owner);
+  }
+
+  // Blocking admission for in-process producers: charges `bytes` at once if
+  // admissible, else counts one stall and waits until a release() makes it
+  // admissible. Never call it on a thread that the pending releases depend
+  // on (a worker whose own queued work would release): nothing could then
+  // wake it.
+  void acquire(std::size_t bytes) {
+    if (budget_ == 0) return;
     MutexLock lock(mutex_);
-    if (in_flight_ == 0 || in_flight_ + bytes <= budget_) {
-      in_flight_ += bytes;
-      return true;
+    if (!admissible(bytes)) {
+      ++stalls_;
+      ++blocked_;
+      while (!admissible(bytes)) released_.wait(mutex_);
+      --blocked_;
     }
-    ++stalls_;
-    waiters_.push_back({bytes, std::move(notify), owner});
-    return false;
+    in_flight_ += bytes;
   }
 
   // Drops every queued waiter tagged with `owner` without invoking it.
@@ -102,17 +124,18 @@ class SubmitGate {
   void release(std::size_t bytes) {
     if (budget_ == 0) return;
     std::vector<std::function<void()>> ready;
+    bool wake_blocked = false;
     {
       MutexLock lock(mutex_);
       PM_CHECK_MSG(bytes <= in_flight_, "SubmitGate release exceeds charge");
       in_flight_ -= bytes;
-      while (!waiters_.empty() &&
-             (in_flight_ == 0 ||
-              in_flight_ + waiters_.front().bytes <= budget_)) {
+      while (!waiters_.empty() && admissible(waiters_.front().bytes)) {
         ready.push_back(std::move(waiters_.front().notify));
         waiters_.pop_front();
       }
+      wake_blocked = blocked_ > 0;
     }
+    if (wake_blocked) released_.notify_all();
     for (std::function<void()>& fn : ready) fn();
   }
 
@@ -122,8 +145,8 @@ class SubmitGate {
     return in_flight_;
   }
 
-  // Number of refused acquire_or_notify() calls — the backpressure-engaged
-  // signal.
+  // Number of refused acquire_or_notify()/ready_or_notify() calls plus
+  // acquire() calls that had to wait — the backpressure-engaged signal.
   std::uint64_t stalls() const {
     if (budget_ == 0) return 0;
     MutexLock lock(mutex_);
@@ -131,6 +154,23 @@ class SubmitGate {
   }
 
  private:
+  bool admissible(std::size_t bytes) const PM_REQUIRES(mutex_) {
+    return in_flight_ == 0 || in_flight_ + bytes <= budget_;
+  }
+
+  bool admit_or_queue(std::size_t bytes, bool charge,
+                      std::function<void()> notify, const void* owner) {
+    if (budget_ == 0) return true;
+    MutexLock lock(mutex_);
+    if (admissible(bytes)) {
+      if (charge) in_flight_ += bytes;
+      return true;
+    }
+    ++stalls_;
+    waiters_.push_back({bytes, std::move(notify), owner});
+    return false;
+  }
+
   struct Waiter {
     std::size_t bytes;
     std::function<void()> notify;
@@ -142,6 +182,8 @@ class SubmitGate {
   std::size_t in_flight_ PM_GUARDED_BY(mutex_) = 0;
   std::uint64_t stalls_ PM_GUARDED_BY(mutex_) = 0;
   std::deque<Waiter> waiters_ PM_GUARDED_BY(mutex_);
+  std::size_t blocked_ PM_GUARDED_BY(mutex_) = 0;  // acquire() calls waiting
+  CondVar released_;  // signalled by release() while blocked_ > 0
 };
 
 }  // namespace paramount

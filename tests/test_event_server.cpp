@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/online_paramount.hpp"
 #include "service_fixture.hpp"
 #include "util/sync.hpp"
 
@@ -42,7 +43,58 @@ std::size_t open_fd_count() {
   return n;
 }
 
-class EventServerTest : public ServerFixture {};
+class EventServerTest : public ServerFixture {
+ protected:
+  // The differential oracle: one session streams `total` events of
+  // `params` over a `kind` connection, and its Goodbye counts must be
+  // bit-identical to the offline driver's, with no pin leaked and the
+  // connection closed in order.
+  void expect_session_matches_offline_driver(
+      Endpoint::Kind kind, std::uint32_t async_workers,
+      std::uint64_t gc_every, const SyntheticEventStream::Params& params,
+      std::uint64_t total) {
+    start_server({}, kind);
+
+    FrameChannel channel = connect();
+    HelloBody h;
+    h.num_threads = 4;
+    h.async_workers = async_workers;
+    h.gc_every = gc_every;
+    hello(channel, h);
+
+    SyntheticEventStream stream(params);
+    std::vector<VectorClock> prev(params.num_threads,
+                                  VectorClock(params.num_threads));
+    stream_events(channel, stream, prev, total);
+
+    ASSERT_TRUE(channel.write_frame(encode_shutdown()));
+    const DecodedFrame goodbye = read_frame(channel);
+    ASSERT_EQ(goodbye.op, Op::kGoodbye);
+    EXPECT_EQ(goodbye.counts.events, total);
+    EXPECT_EQ(goodbye.counts.intervals, total);
+    EXPECT_EQ(goodbye.counts.outstanding_pins, 0u);
+    EXPECT_EQ(goodbye.counts.racy_vars, 0u);  // no collection events
+    if (gc_every > 0) {
+      EXPECT_GT(goodbye.counts.reclaimed_events, 0u);
+    } else {
+      EXPECT_EQ(goodbye.counts.reclaimed_events, 0u);
+    }
+    // The differential requirement: bit-identical to the offline driver,
+    // regardless of transport.
+    EXPECT_EQ(goodbye.counts.states, oracle_states(params, total));
+
+    // Stream 0: the connection closes in order when the session ends.
+    std::vector<std::uint8_t> payload;
+    EXPECT_EQ(channel.read_frame(&payload), ReadStatus::kEof);
+
+    await_completed(1);
+    const ServerStats stats = server_->stats();
+    EXPECT_EQ(stats.sessions_completed, 1u);
+    EXPECT_EQ(stats.clean_shutdowns, 1u);
+    EXPECT_EQ(stats.protocol_errors, 0u);
+    EXPECT_EQ(stats.leaked_pins, 0u);
+  }
+};
 
 // ---- differential oracle over both transports ----
 
@@ -59,48 +111,22 @@ class EventServerOracle
 
 TEST_P(EventServerOracle, MatchesOfflineDriver) {
   const TransportCase& c = GetParam();
-  start_server({}, c.kind);
-  const SyntheticEventStream::Params params = oracle_params(7);
-  const std::uint64_t total = 3000;
+  expect_session_matches_offline_driver(c.kind, c.async_workers, c.gc_every,
+                                        oracle_params(7), 3000);
+}
 
-  FrameChannel channel = connect();
-  HelloBody h;
-  h.num_threads = 4;
-  h.async_workers = c.async_workers;
-  h.gc_every = c.gc_every;
-  hello(channel, h);
-
-  SyntheticEventStream stream(params);
-  std::vector<VectorClock> prev(params.num_threads,
-                                VectorClock(params.num_threads));
-  stream_events(channel, stream, prev, total);
-
-  ASSERT_TRUE(channel.write_frame(encode_shutdown()));
-  const DecodedFrame goodbye = read_frame(channel);
-  ASSERT_EQ(goodbye.op, Op::kGoodbye);
-  EXPECT_EQ(goodbye.counts.events, total);
-  EXPECT_EQ(goodbye.counts.intervals, total);
-  EXPECT_EQ(goodbye.counts.outstanding_pins, 0u);
-  EXPECT_EQ(goodbye.counts.racy_vars, 0u);  // no collection events
-  if (c.gc_every > 0) {
-    EXPECT_GT(goodbye.counts.reclaimed_events, 0u);
-  } else {
-    EXPECT_EQ(goodbye.counts.reclaimed_events, 0u);
-  }
-  // The differential requirement: bit-identical to the offline driver,
-  // regardless of transport.
-  EXPECT_EQ(goodbye.counts.states, oracle_states(params, total));
-
-  // Stream 0: the connection closes in order when the session ends.
-  std::vector<std::uint8_t> payload;
-  EXPECT_EQ(channel.read_frame(&payload), ReadStatus::kEof);
-
-  await_completed(1);
-  const ServerStats stats = server_->stats();
-  EXPECT_EQ(stats.sessions_completed, 1u);
-  EXPECT_EQ(stats.clean_shutdowns, 1u);
-  EXPECT_EQ(stats.protocol_errors, 0u);
-  EXPECT_EQ(stats.leaked_pins, 0u);
+// A windowed session that streams past its driver's in-flight cap, with the
+// default unbounded submit budget. One worker and sync probability 0.3 make
+// every interval cost the worker more than the reactor spends on an event,
+// so the driver reaches the cap and the session must stash the event, stop
+// reading and resume (SessionCore::submit_pending) while the reactor never
+// waits. The verdict stays exact and no pin leaks.
+TEST_F(EventServerOracle, MatchesOfflineDriverPastTheInFlightCap) {
+  SyntheticEventStream::Params params = oracle_params(7);
+  params.sync_probability = 0.3;
+  expect_session_matches_offline_driver(
+      Endpoint::Kind::kUnix, /*async_workers=*/1, /*gc_every=*/64, params,
+      3 * OnlineParamount::kInFlightIntervalsPerWorker);
 }
 
 INSTANTIATE_TEST_SUITE_P(

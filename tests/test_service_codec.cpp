@@ -4,7 +4,9 @@
 // admission rules and the paramountd flag validation (invalid values exit 2).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "service/daemon_config.hpp"
@@ -425,6 +427,46 @@ TEST(SubmitGate, AcquireOrNotifyZeroBudgetNeverQueues) {
   gate.release(std::size_t{1} << 40);
   EXPECT_FALSE(fired);
   EXPECT_EQ(gate.stalls(), 0u);
+}
+
+// The reactor's probe of a driver's in-flight cap: ready_or_notify answers
+// without charging, and a refusal queues a one-shot notify like
+// acquire_or_notify's.
+TEST(SubmitGate, ReadyOrNotifyProbesWithoutCharging) {
+  SubmitGate gate(2);
+  EXPECT_TRUE(gate.ready_or_notify(1, [] {}));
+  EXPECT_EQ(gate.in_flight_bytes(), 0u);
+  EXPECT_TRUE(gate.acquire_or_notify(1, [] {}));
+  EXPECT_TRUE(gate.acquire_or_notify(1, [] {}));
+  bool fired = false;
+  EXPECT_FALSE(gate.ready_or_notify(1, [&] { fired = true; }));
+  EXPECT_EQ(gate.in_flight_bytes(), 2u);
+  EXPECT_EQ(gate.stalls(), 1u);
+  gate.release(1);
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(gate.in_flight_bytes(), 1u);
+  gate.release(1);
+}
+
+// In-process producers block in acquire() until a release() makes room.
+TEST(SubmitGate, AcquireWaitsForARelease) {
+  SubmitGate gate(1);
+  gate.acquire(1);
+  std::atomic<bool> admitted{false};
+  std::thread producer([&] {
+    gate.acquire(1);
+    admitted.store(true);
+  });
+  // The stall is counted under the gate lock before the producer waits, and
+  // nothing can admit it until the release below.
+  while (gate.stalls() == 0) std::this_thread::yield();
+  EXPECT_FALSE(admitted.load());
+  gate.release(1);
+  producer.join();
+  EXPECT_TRUE(admitted.load());
+  EXPECT_EQ(gate.in_flight_bytes(), 1u);
+  EXPECT_EQ(gate.stalls(), 1u);
+  gate.release(1);
 }
 
 // ---- paramountd flag validation (exit 2 on invalid values) ----

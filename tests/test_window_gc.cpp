@@ -226,13 +226,101 @@ TEST(WindowGc, StreamingHeapStaysBoundedAcross100kInserts) {
   std::cout << "windowed peak=" << gc_run.peak_poset_bytes
             << " windowed final=" << gc_run.final_poset_bytes
             << " unwindowed final=" << ref_run.final_poset_bytes << "\n";
-  // The unwindowed poset keeps all 200k events resident forever. The
-  // windowed peak rides the worker backlog (queued intervals pin the
-  // watermark), so it is timing-dependent — but it must stay well below the
-  // linear footprint, and the post-drain plateau is just the partially
-  // covered tail segments.
+  // The unwindowed poset keeps all 200k events resident forever. Queued
+  // intervals pin the watermark, but a windowed pooled driver keeps at most
+  // in_flight_cap() of them in flight (submit() waits at the cap), so the
+  // windowed peak follows the cap and the collect cadence, not the worker
+  // backlog: it stays well below the linear footprint whatever the
+  // schedule, and the post-drain plateau is just the partially covered tail
+  // segments.
   EXPECT_LT(gc_run.peak_poset_bytes * 2, ref_run.final_poset_bytes);
   EXPECT_LT(gc_run.final_poset_bytes * 6, ref_run.final_poset_bytes);
+}
+
+// The in-flight cap that makes the window's bound hold whatever the queue
+// does. The visitor holds every worker until the producer has waited at the
+// cap, so the producer outruns the workers in every schedule: each interval
+// visits at least its Gmin, so no interval can finish early, and exactly
+// in_flight_cap() pins are outstanding when the producer stalls. After
+// every submit() the pins stay at or below the cap, the waiting submit()
+// resumes once the workers go on (the one-worker case: a single worker must
+// wake it), and the states equal the GC-off oracle.
+TEST(WindowGc, PooledSubmitWaitsAtTheInFlightCap) {
+  SyntheticEventStream::Params params;
+  params.num_threads = 4;
+  params.num_locks = 2;
+  params.sync_probability = 0.7;
+  params.seed = 5;
+
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    const std::size_t cap =
+        OnlineParamount::kInFlightIntervalsPerWorker * workers;
+    const std::uint64_t total_events = 2 * cap;
+    const StreamRun oracle = run_stream(params, total_events, {});
+
+    OnlineParamount::Options options;
+    options.async_workers = workers;
+    options.window_policy.gc_every = 64;
+    Mutex mutex;
+    CondVar opened;
+    bool open = false;
+    std::vector<Key> states;
+    OnlineParamount driver(
+        params.num_threads, options,
+        [&](const OnlinePoset&, EventId, const Frontier& f) {
+          MutexLock guard(mutex);
+          while (!open) opened.wait(mutex);
+          states.push_back(key_of(f));
+        });
+    ASSERT_EQ(driver.in_flight_cap(), cap);
+
+    // Opens at the first stall — or after the last submit(), so a driver
+    // that never waits fails the assertions below instead of hanging.
+    std::atomic<bool> submitted{false};
+    std::thread opener([&] {
+      while (driver.admission_stalls() == 0 && !submitted.load()) {
+        std::this_thread::yield();
+      }
+      MutexLock guard(mutex);
+      open = true;
+      opened.notify_all();
+    });
+    SyntheticEventStream stream(params);
+    std::size_t max_pins = 0;
+    for (std::uint64_t i = 0; i < total_events; ++i) {
+      SyntheticEventStream::StreamEvent ev = stream.next();
+      driver.submit(ev.tid, ev.kind, ev.object, std::move(ev.clock));
+      const std::size_t pins = driver.poset().outstanding_pins();
+      EXPECT_LE(pins, cap) << "workers " << workers << " event " << i;
+      max_pins = std::max(max_pins, pins);
+    }
+    submitted.store(true);
+    opener.join();
+    driver.drain();
+
+    EXPECT_EQ(max_pins, cap) << "workers " << workers;
+    EXPECT_GT(driver.admission_stalls(), 0u) << "workers " << workers;
+    EXPECT_EQ(driver.poset().outstanding_pins(), 0u);
+    EXPECT_GT(driver.poset().reclaimed_events(), 0u);
+    EXPECT_EQ(states.size(), oracle.states.size()) << "workers " << workers;
+    EXPECT_EQ(as_set(states), as_set(oracle.states)) << "workers " << workers;
+  }
+}
+
+// Unwindowed and inline drivers keep submission wait-free: no cap.
+TEST(WindowGc, InFlightCapOnlyForWindowedPooledDrivers) {
+  const auto cap_of = [](std::size_t workers, std::uint64_t gc_every) {
+    OnlineParamount::Options options;
+    options.async_workers = workers;
+    options.window_policy.gc_every = gc_every;
+    OnlineParamount driver(2, options,
+                           [](const OnlinePoset&, EventId, const Frontier&) {});
+    return driver.in_flight_cap();
+  };
+  EXPECT_EQ(cap_of(0, 0), 0u);
+  EXPECT_EQ(cap_of(0, 64), 0u);
+  EXPECT_EQ(cap_of(2, 0), 0u);
+  EXPECT_EQ(cap_of(2, 64), 2 * OnlineParamount::kInFlightIntervalsPerWorker);
 }
 
 // collect() hammered from a dedicated thread while producers insert and
