@@ -134,8 +134,7 @@ void bench_online(std::size_t threads, ClockBackend backend,
                   std::uint64_t events, RunRecord* out) {
   OnlineParamount::Options options;
   options.window_policy.gc_every = 4096;
-  OnlineParamount driver(threads, options,
-                         [](const OnlinePoset&, EventId, const Frontier&) {});
+  OnlineParamount driver(threads, options);
   SyntheticEventStream::Params params =
       stream_params(threads, backend, /*convoy=*/false);
   params.num_locks = 1;

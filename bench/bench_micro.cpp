@@ -165,8 +165,7 @@ void BM_OnlineStreamMemory(benchmark::State& state) {
   for (auto _ : state) {
     OnlineParamount::Options options;
     if (windowed) options.window_policy.gc_every = 1024;
-    OnlineParamount driver(
-        4, options, [](const OnlinePoset&, EventId, const Frontier&) {});
+    OnlineParamount driver(4, options);
     SyntheticEventStream stream(
         {.num_threads = 4, .num_locks = 2, .sync_probability = 0.8,
          .seed = 7});

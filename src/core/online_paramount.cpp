@@ -10,7 +10,6 @@ OnlineParamount::OnlineParamount(std::size_t num_threads, Options options,
       slots_(options.async_workers > 0 && options.window_policy.enabled()
                  ? kInFlightIntervalsPerWorker * options.async_workers
                  : 0) {
-  PM_CHECK(visit_ != nullptr);
   obs::Telemetry* const tel = options_.telemetry;
   PM_CHECK_MSG(tel == nullptr || tel->num_shards() >=
                                      num_threads + options_.async_workers,
@@ -125,20 +124,28 @@ void OnlineParamount::enumerate_interval(const OnlinePoset::Inserted& ins) {
   // further intervals would be incomplete; skip straight to the pin release
   // and completion callback so backpressure budgets stay balanced.
   if (!store_full_.load(std::memory_order_relaxed)) {
+    if (options_.visit_interval) {
+      options_.visit_interval(poset_, ins.id, ins.gmin, ins.gbnd);
+    }
+    const auto visit_state = [&](const Frontier& state) {
+      visit_(poset_, ins.id, state);
+    };
+    const auto count_only = [](const Frontier&) {};
+    const StateVisitor visit =
+        visit_ ? StateVisitor(visit_state) : StateVisitor(count_only);
     // The empty state {0,…,0} belongs to the interval of the first event in
     // the insertion order →p (Figure 6a).
     if (ins.first) {
-      visit_(poset_, ins.id, poset_.empty_frontier());
+      visit(poset_.empty_frontier());
       ++states;
     }
     // Pool workers must never let an exception escape (the pool would
     // std::terminate), so the store's typed kFull result is latched here
     // and surfaced by the owner via store_full().
     try {
-      const EnumStats stats = enumerate_box(
-          options_.subroutine, poset_, ins.gmin, ins.gbnd,
-          [&](const Frontier& state) { visit_(poset_, ins.id, state); },
-          /*meter=*/nullptr, options_.store);
+      const EnumStats stats =
+          enumerate_box(options_.subroutine, poset_, ins.gmin, ins.gbnd,
+                        visit, /*meter=*/nullptr, options_.store);
       states += stats.states;
     } catch (const StateStoreFull&) {
       // relaxed: see store_full().

@@ -59,6 +59,13 @@ class OnlineParamount {
   // and verdict latency, not throughput. Fixed: no flag or option.
   static constexpr std::size_t kInFlightIntervalsPerWorker = 4096;
 
+  // Hook invoked once per interval with its box [gmin, gbnd] = [Gmin(e),
+  // Gbnd(e)], possibly from several threads at once; the frontiers are only
+  // valid during the call.
+  using IntervalVisitor =
+      std::function<void(const OnlinePoset& poset, EventId owner,
+                         const Frontier& gmin, const Frontier& gbnd)>;
+
   struct Options {
     EnumAlgorithm subroutine = EnumAlgorithm::kLexical;
     std::size_t async_workers = 0;  // 0 = enumerate inline on submit
@@ -82,6 +89,13 @@ class OnlineParamount {
     // the interval (a pool worker in pooled mode), so it must be
     // thread-safe; it must not call back into this driver.
     std::function<void(EventId)> interval_done;
+    // Optional per-interval hook, run on the thread that enumerates the
+    // interval: after its window pin is adopted (every event of the box is
+    // resident for the call) and before the walk; skipped, like the walk,
+    // once store_full() has latched. A predicate that reads only pairs of
+    // e with box cells is evaluated here once instead of once per state (the
+    // race detector's check_races_in_box). Same rules as interval_done.
+    IntervalVisitor visit_interval;
   };
 
   // Visitor invoked once per enumerated global state, possibly from several
@@ -91,8 +105,10 @@ class OnlineParamount {
       std::function<void(const OnlinePoset& poset, EventId owner,
                          const Frontier& state)>;
 
+  // `visit` runs on every enumerated state; left empty, the driver
+  // enumerates only to count (states_enumerated()).
   OnlineParamount(std::size_t num_threads, Options options,
-                  IntervalStateVisitor visit);
+                  IntervalStateVisitor visit = nullptr);
   ~OnlineParamount();
 
   OnlineParamount(const OnlineParamount&) = delete;

@@ -1,10 +1,13 @@
 // Online-and-parallel predicate detector (§4, Figure 7 of the paper).
 //
 // A TraceSink that feeds every recorded event into online ParaMount
-// (Algorithm 4) and evaluates the data-race predicate (Algorithm 6) on each
-// enumerated global state. In the default inline mode, the monitored
-// program's own thread enumerates the interval of the event it just produced
-// — the configuration evaluated in Table 2.
+// (Algorithm 4) and evaluates the data-race predicate (Algorithm 6) once per
+// interval, over its Gmin–Gbnd box (check_races_in_box): the pairs the
+// per-state form would meet across the interval's global states, each
+// checked once. The interval is still enumerated, for the state counts. In
+// the default inline mode, the monitored program's own thread processes the
+// interval of the event it just produced — the configuration evaluated in
+// Table 2.
 #pragma once
 
 #include <memory>
@@ -37,12 +40,12 @@ class OnlineRaceDetector final : public TraceSink {
       : paramount_(num_threads,
                    {options.subroutine, options.async_workers,
                     options.telemetry, options.window_policy, options.store,
-                    std::move(options.interval_done)},
-                   [this](const OnlinePoset& poset, EventId owner,
-                          const Frontier& state) {
-                     check_races(poset, *access_table_, owner, state, report_,
-                                 &window_evictions_);
-                   }) {}
+                    std::move(options.interval_done),
+                    [this](const OnlinePoset& poset, EventId owner,
+                           const Frontier& gmin, const Frontier& gbnd) {
+                      check_races_in_box(poset, *access_table_, owner, gmin,
+                                         gbnd, report_, &window_evictions_);
+                    }}) {}
 
   // Must be called with the runtime's access table before tracing starts.
   void attach(const AccessTable& table) { access_table_ = &table; }
@@ -65,7 +68,7 @@ class OnlineRaceDetector final : public TraceSink {
   }
 
   // Candidate pairs dropped because the older event left the sliding window
-  // (zero under the pin protocol; see check_races).
+  // (zero under the pin protocol; see check_races_in_box).
   std::uint64_t window_evictions() const {
     // relaxed: monotone statistics counter, read after drain().
     return window_evictions_.load(std::memory_order_relaxed);

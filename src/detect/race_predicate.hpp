@@ -1,17 +1,32 @@
-// The data-race predicate (Algorithms 5-6 of the paper).
+// The data-race predicate (Algorithms 5-6 of the paper), in two forms.
 //
-// Evaluated on a global state G enumerated inside the interval I(e) of the
-// new event e: the accesses of e are compared against the accesses of every
-// other thread's maximal (frontier) event in G. Two accesses race when they
-// touch the same variable, at least one is a write, neither is an
-// initialization write, and the two events are concurrent.
+// Two accesses race when they touch the same variable, at least one is a
+// write, neither is an initialization write, and the two events are
+// concurrent. Completeness relies on the partition property: for any racy
+// pair (e, f), the later of the two in →p sees the other inside its Gbnd
+// snapshot, so checking only pairs that involve the interval-owning event e
+// finds every racy pair exactly where the paper's Algorithm 5 looks for it.
 //
-// Completeness relies on the partition property: for any racy pair (e, f),
-// the later of the two in →p sees the other inside its Gbnd snapshot, and
-// the join of their least states is a consistent state of its interval that
-// carries both events in its frontier — so checking only pairs involving the
-// interval-owning event e finds every racy pair exactly where the paper's
-// Algorithm 5 looks for it.
+//   * check_races — the paper's per-state form: evaluated on every global
+//     state G enumerated inside I(e), it compares e's accesses against those
+//     of every other thread's maximal (frontier) event in G. It is the test
+//     oracle (and perfbench's reference detector cost), not a runtime path.
+//   * check_races_in_box — the per-interval form the detectors run: once per
+//     interval, e against every event (i, k) with Gmin(e)[i] < k ≤
+//     Gbnd(e)[i]. Those box cells are exactly the frontier events the
+//     per-state form meets: for each cell, Gmin(e) ∨ Gmin((i, k)) is a
+//     consistent state of [Gmin(e), Gbnd(e)] whose frontier holds both e and
+//     (i, k); and a frontier event at k = Gmin(e)[i] lies in e's causal
+//     history. So both forms report the same (var, (i, k), e) pairs.
+//
+// Both forms (and the O(1) epoch test in check_races) assume transitively
+// closed clocks — the condition under which a vector-clock poset models a
+// computation (Chauhan & Garg, arXiv:1410.1209). ClockValidator does not
+// yet enforce closure; see the ROADMAP item "Reject clocks that are not
+// transitively closed, on every path".
+//
+// `report` is a RaceReport, or any type with add(VarId, EventId, EventId)
+// (the differential tests record every add).
 #pragma once
 
 #include <atomic>
@@ -25,6 +40,14 @@
 namespace paramount {
 
 namespace detail {
+// Counts one candidate dropped because its event left the sliding window.
+inline void count_eviction(std::atomic<std::uint64_t>* window_evictions) {
+  if (window_evictions != nullptr) {
+    // relaxed: monotone statistics counter, read after the run drains.
+    window_evictions->fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
 // Whether the frontier event (tid, index) is still resident. Posets without
 // a sliding window (the offline Poset) have no is_live(); everything is.
 template <typename PosetT>
@@ -53,18 +76,12 @@ inline bool accesses_conflict(const Access& a, const Access& b) {
 // lifetime, so evictions only occur when collect() is driven past unpinned
 // intervals (e.g. manual collect() calls between submit and a deferred
 // re-check).
-template <typename PosetT>
+template <typename PosetT, typename ReportT>
 void check_races(const PosetT& poset, const AccessTable& table, EventId owner,
-                 const Frontier& state, RaceReport& report,
+                 const Frontier& state, ReportT& report,
                  std::atomic<std::uint64_t>* window_evictions = nullptr) {
-  const auto evicted = [window_evictions] {
-    if (window_evictions != nullptr) {
-      // relaxed: monotone statistics counter, read after the run drains.
-      window_evictions->fetch_add(1, std::memory_order_relaxed);
-    }
-  };
   if (!detail::frontier_event_live(poset, owner.tid, owner.index)) {
-    evicted();
+    detail::count_eviction(window_evictions);
     return;
   }
   const Event& e = poset.event(owner.tid, owner.index);
@@ -81,7 +98,7 @@ void check_races(const PosetT& poset, const AccessTable& table, EventId owner,
   for (ThreadId i = 0; i < poset.num_threads(); ++i) {
     if (i == owner.tid || state[i] == 0) continue;
     if (!detail::frontier_event_live(poset, i, state[i])) {
-      evicted();
+      detail::count_eviction(window_evictions);
       continue;
     }
     const Event& f = poset.event(i, state[i]);
@@ -102,6 +119,54 @@ void check_races(const PosetT& poset, const AccessTable& table, EventId owner,
       for (const Access& b : other_accesses) {
         if (accesses_conflict(a, b)) {
           report.add(a.var, f.id, owner);
+        }
+      }
+    }
+  }
+}
+
+// Algorithm 6 once per interval: the owner e = `owner` against every
+// collection (i, k) of another thread with gmin[i] < k ≤ gbnd[i], where
+// [gmin, gbnd] = [Gmin(e), Gbnd(e)] is e's interval box. Reports the same
+// (var, (i, k), e) pairs as check_races over every state of the interval
+// (see the header comment), in O(Σ box widths · |accesses|) instead of
+// O(states · threads · |accesses|). Every box cell is concurrent with e:
+// k > gmin[i] = e.vc[i], so (i, k) is not in e's history, and (i, k) was
+// inserted before e in →p, so e is not in its history. No epoch test.
+//
+// Reclaimed events are dropped and counted in `window_evictions` as in
+// check_races: one count for an evicted owner, one per evicted candidate.
+template <typename PosetT, typename ReportT>
+void check_races_in_box(
+    const PosetT& poset, const AccessTable& table, EventId owner,
+    const Frontier& gmin, const Frontier& gbnd, ReportT& report,
+    std::atomic<std::uint64_t>* window_evictions = nullptr) {
+  if (!detail::frontier_event_live(poset, owner.tid, owner.index)) {
+    detail::count_eviction(window_evictions);
+    return;
+  }
+  const Event& e = poset.event(owner.tid, owner.index);
+  if (e.kind != OpKind::kCollection) return;
+  PM_DCHECK(gmin[owner.tid] == owner.index && gbnd[owner.tid] == owner.index);
+  const AccessSet& own_accesses = table.get(owner.tid, e.object);
+
+  for (ThreadId i = 0; i < poset.num_threads(); ++i) {
+    if (i == owner.tid) continue;
+    for (EventIndex k = gmin[i] + 1; k <= gbnd[i]; ++k) {
+      if (!detail::frontier_event_live(poset, i, k)) {
+        detail::count_eviction(window_evictions);
+        continue;
+      }
+      const Event& f = poset.event(i, k);
+      if (f.kind != OpKind::kCollection) continue;
+      PM_DCHECK(!f.vc.leq(e.vc));
+      PM_DCHECK(!e.vc.leq(f.vc));
+      const AccessSet& other_accesses = table.get(i, f.object);
+      for (const Access& a : own_accesses) {
+        for (const Access& b : other_accesses) {
+          if (accesses_conflict(a, b)) {
+            report.add(a.var, f.id, owner);
+          }
         }
       }
     }

@@ -4,13 +4,13 @@
 // with races); the first witnessing pair of events is kept for diagnostics.
 //
 // The race predicate reports the same variable once per conflicting pair of
-// every enumerated state, so almost every add() names a variable that is
-// already recorded. A small array of hint slots lets those adds return
-// without the mutex: slot `var % kHints` holds `var + 1` only after var's
-// finding is in races_ (the store is made under the mutex, after the
-// insert, with release order). A slot that holds another variable, or
-// nothing, sends the add down the locked path, so collisions cost speed,
-// never exactness.
+// every interval (or, in the per-state oracle, of every enumerated state),
+// so almost every add() names a variable that is already recorded. A small
+// array of hint slots lets those adds return without the mutex: slot
+// `var % kHints` holds `var + 1` only after var's finding is in races_ (the
+// store is made under the mutex, after the insert, with release order). A
+// slot that holds another variable, or nothing, sends the add down the
+// locked path, so collisions cost speed, never exactness.
 #pragma once
 
 #include <array>

@@ -12,8 +12,15 @@
 //   3. the clock is componentwise monotone over the thread's previous event;
 //   4. every cross-thread component references an already published event.
 //
-// Together 2-4 imply the clock is a transitively closed happened-before
-// stamp over the accepted prefix, which is what insert() requires.
+// Checks 2-4 are what insert() PM_CHECKs. They do NOT imply that the clock
+// is transitively closed: with three threads, t2 [0,0,1], then t1 [0,1,1],
+// then t0 [1,1,0] passes all four, yet t0 claims t1's event without the t2
+// event that t1's event depends on. Such a stream aborts the offline
+// Poset's invariant check and gives the online driver a wrong state count;
+// the race predicate's box and epoch tests (detect/race_predicate.hpp)
+// assume closure too. The missing check (clock >= vc(j, clock[j]) for every
+// component j that advanced) is a ROADMAP item: "Reject clocks that are not
+// transitively closed, on every path".
 #pragma once
 
 #include <string>

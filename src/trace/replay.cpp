@@ -53,8 +53,7 @@ bool replay_count_streaming(const TraceReader& reader,
 bool replay_count_online(const TraceReader& reader,
                          const OnlineParamount::Options& options,
                          std::uint64_t* states, TraceError* error) {
-  OnlineParamount driver(reader.num_threads(), options,
-                         [](const OnlinePoset&, EventId, const Frontier&) {});
+  OnlineParamount driver(reader.num_threads(), options);
   TraceCursor cursor = reader.cursor();
   TraceEvent event;
   for (;;) {

@@ -87,8 +87,7 @@ TEST(Integration, OnlineAndOfflineSeeTheSamePoset) {
   const auto expected = count_ideals(trace.poset, UINT64_C(5'000'000));
   ASSERT_TRUE(expected.has_value());
 
-  OnlineParamount online(trace.poset.num_threads(), {},
-                         [](const OnlinePoset&, EventId, const Frontier&) {});
+  OnlineParamount online(trace.poset.num_threads(), {});
   for (const EventId id : trace.order) {
     const Event& e = trace.poset.event(id);
     online.submit(id.tid, e.kind, e.object, e.vc);

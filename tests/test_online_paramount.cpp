@@ -191,8 +191,7 @@ TEST(OnlineParamount, SubroutineChoiceIrrelevant) {
 TEST(OnlineParamount, CountsStatesAndIntervals) {
   const Poset poset = make_random(4, 20, 0.4, 17);
   const auto order = topological_sort(poset, TopoPolicy::kInterleave);
-  OnlineParamount online(poset.num_threads(), {},
-                         [](const OnlinePoset&, EventId, const Frontier&) {});
+  OnlineParamount online(poset.num_threads(), {});
   for (const EventId id : order) {
     online.submit(id.tid, OpKind::kInternal, 0, poset.event(id).vc);
   }

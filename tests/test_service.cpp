@@ -18,6 +18,7 @@
 
 #include "detect/offline_bfs_detector.hpp"
 #include "service_fixture.hpp"
+#include "workloads/scenarios/scenarios.hpp"
 
 namespace paramount::service {
 namespace {
@@ -96,8 +97,71 @@ std::vector<VarId> oracle_racy_vars(const CollectionTrace& trace) {
   return vars;
 }
 
+// A hot-var scenario stream (skewed traffic on variable 0, lock syncs) as
+// a CollectionTrace: the access shape of perfbench's race-hotvar workload.
+CollectionTrace make_hot_var_trace(std::size_t threads, std::uint64_t events,
+                                   std::uint64_t seed) {
+  ScenarioParams params;
+  params.num_threads = threads;
+  params.num_events = events;
+  params.seed = seed;
+  const std::unique_ptr<ScenarioStream> stream =
+      make_scenario("hot-var", params);
+  CollectionTrace trace;
+  trace.num_threads = threads;
+  trace::TraceEvent ev;
+  while (stream->next(&ev)) {
+    std::vector<AccessRecord> accesses;
+    for (const trace::TraceAccess& a : ev.accesses) {
+      accesses.push_back({a.var, a.is_write, a.is_init});
+    }
+    trace.events.push_back({ev.tid, ev.kind, std::move(accesses), ev.clock});
+  }
+  return trace;
+}
+
 class ServiceRaceOracle : public ServiceTest,
                           public ::testing::WithParamInterface<std::uint32_t> {
+ protected:
+  // Streams `trace` into one session opened with `h` and requires the
+  // offline BFS oracle's exact race-variable set, with no leaked pin.
+  // Stores the session's final counts in `counts`.
+  void expect_oracle_race_set(const CollectionTrace& trace, const HelloBody& h,
+                              CountsBody* counts) {
+    const std::vector<VarId> expected = oracle_racy_vars(trace);
+    ASSERT_FALSE(expected.empty());
+
+    start_server();
+    FrameChannel channel = connect();
+    hello(channel, h);
+
+    const std::size_t n = trace.num_threads;
+    std::vector<VectorClock> prev(n, VectorClock(n));
+    for (const CollectionTrace::Ev& ev : trace.events) {
+      EventBody body;
+      body.tid = ev.tid;
+      body.kind = ev.kind;
+      body.object = 0;  // the session rebuilds collection payloads itself
+      body.accesses = ev.accesses;
+      for (std::size_t j = 0; j < ev.clock.size(); ++j) {
+        if (ev.clock[j] != prev[ev.tid][j]) {
+          body.delta.push_back({static_cast<std::uint32_t>(j), ev.clock[j]});
+        }
+      }
+      prev[ev.tid] = ev.clock;
+      ASSERT_TRUE(channel.write_frame(encode_event(body)));
+    }
+    ASSERT_TRUE(channel.write_frame(encode_shutdown()));
+    const DecodedFrame goodbye = read_frame(channel);
+    ASSERT_EQ(goodbye.op, Op::kGoodbye);
+    EXPECT_EQ(goodbye.counts.racy_vars, expected.size());
+
+    await_completed(1);
+    // Bit-identical race report: the exact variable set, not just the count.
+    EXPECT_EQ(server_->stats().last_racy_vars, expected);
+    EXPECT_EQ(server_->stats().leaked_pins, 0u);
+    *counts = goodbye.counts;
+  }
 };
 
 TEST_P(ServiceRaceOracle, RaceReportMatchesOfflineBfs) {
@@ -105,39 +169,31 @@ TEST_P(ServiceRaceOracle, RaceReportMatchesOfflineBfs) {
   // variables {0, 2, 3, 5} race — and the test does not hardcode that: both
   // sides derive it independently.
   const CollectionTrace trace = make_collection_trace(6, {1, 4});
-  const std::vector<VarId> expected = oracle_racy_vars(trace);
-  ASSERT_FALSE(expected.empty());
-
-  start_server();
-  FrameChannel channel = connect();
   HelloBody h;
   h.num_threads = 2;
   h.async_workers = GetParam();
-  hello(channel, h);
+  CountsBody counts;
+  expect_oracle_race_set(trace, h, &counts);
+}
 
-  std::vector<VectorClock> prev(2, VectorClock(2));
-  for (const CollectionTrace::Ev& ev : trace.events) {
-    EventBody body;
-    body.tid = ev.tid;
-    body.kind = ev.kind;
-    body.object = 0;  // the session rebuilds collection payloads itself
-    body.accesses = ev.accesses;
-    for (std::size_t j = 0; j < ev.clock.size(); ++j) {
-      if (ev.clock[j] != prev[ev.tid][j]) {
-        body.delta.push_back({static_cast<std::uint32_t>(j), ev.clock[j]});
-      }
-    }
-    prev[ev.tid] = ev.clock;
-    ASSERT_TRUE(channel.write_frame(encode_event(body)));
+// Four threads of hot-var traffic under the sliding window: the session's
+// per-interval race check must still see every concurrent pair while the
+// window reclaims behind it. Inline sessions reclaim deterministically
+// (each interval is done before the next collect); pooled ones only when
+// their workers keep up with the reactor.
+TEST_P(ServiceRaceOracle, WindowedHotVarMatchesOfflineBfs) {
+  const CollectionTrace trace = make_hot_var_trace(4, 160, 5);
+  HelloBody h;
+  h.num_threads = 4;
+  h.async_workers = GetParam();
+  h.gc_every = 8;
+  CountsBody counts;
+  ASSERT_NO_FATAL_FAILURE(expect_oracle_race_set(trace, h, &counts));
+  EXPECT_EQ(counts.events, trace.events.size());
+  EXPECT_EQ(counts.window_evictions, 0u);
+  if (GetParam() == 0) {
+    EXPECT_GT(counts.reclaimed_events, 0u);
   }
-  ASSERT_TRUE(channel.write_frame(encode_shutdown()));
-  const DecodedFrame goodbye = read_frame(channel);
-  ASSERT_EQ(goodbye.op, Op::kGoodbye);
-  EXPECT_EQ(goodbye.counts.racy_vars, expected.size());
-
-  await_completed(1);
-  // Bit-identical race report: the exact variable set, not just the count.
-  EXPECT_EQ(server_->stats().last_racy_vars, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(InlineAndPooled, ServiceRaceOracle,

@@ -613,8 +613,7 @@ TEST(DriverTelemetry, OnlineInlineModeShardsBySubmitter) {
   Telemetry telemetry(poset.num_threads());
   OnlineParamount::Options options;
   options.telemetry = &telemetry;
-  OnlineParamount online(poset.num_threads(), options,
-                         [](const OnlinePoset&, EventId, const Frontier&) {});
+  OnlineParamount online(poset.num_threads(), options);
   for (const EventId id : order) {
     const Event& e = poset.event(id);
     online.submit(id.tid, e.kind, e.object, e.vc);

@@ -313,8 +313,7 @@ TEST(WindowGc, InFlightCapOnlyForWindowedPooledDrivers) {
     OnlineParamount::Options options;
     options.async_workers = workers;
     options.window_policy.gc_every = gc_every;
-    OnlineParamount driver(2, options,
-                           [](const OnlinePoset&, EventId, const Frontier&) {});
+    OnlineParamount driver(2, options);
     return driver.in_flight_cap();
   };
   EXPECT_EQ(cap_of(0, 0), 0u);
@@ -391,8 +390,8 @@ TEST(WindowGc, ConcurrentCollectEnumerateStress) {
 TEST(WindowGc, DetectorCountsWindowEvictions) {
   OnlinePoset poset(2);
   AccessTable table(2);
-  RaceReport report;
   std::atomic<std::uint64_t> evictions{0};
+  std::atomic<std::uint64_t> box_evictions{0};
 
   AccessSet writes;
   writes.merge(/*var=*/7, /*is_write=*/true, /*is_init=*/false);
@@ -404,27 +403,45 @@ TEST(WindowGc, DetectorCountsWindowEvictions) {
   const auto e1 =
       poset.insert(1, OpKind::kCollection, 0, VectorClock{0, 1});
   const Frontier both{1, 1};
+  // e1's interval box [Gmin, Gbnd] = [{0,1}, {1,1}] holds one candidate,
+  // e0 — the frontier event of the per-state form's state {1,1}.
+  ASSERT_EQ(e1.gmin, (Frontier{0, 1}));
+  ASSERT_EQ(e1.gbnd, both);
 
-  // Sanity: with everything resident the racy pair is reported.
+  // Sanity: with everything resident both forms report the racy pair.
+  RaceReport report;
+  RaceReport box_report;
   check_races(poset, table, e1.id, both, report, &evictions);
+  check_races_in_box(poset, table, e1.id, e1.gmin, e1.gbnd, box_report,
+                     &box_evictions);
   EXPECT_EQ(report.num_racy_vars(), 1u);
+  EXPECT_EQ(box_report.num_racy_vars(), 1u);
   EXPECT_EQ(evictions.load(), 0u);
+  EXPECT_EQ(box_evictions.load(), 0u);
 
   // Force e0 out of the window (no pins, clock floors past it), then
-  // re-check the same state: the pair is dropped and counted, not read.
+  // re-check: both forms drop the pair and count it, never read it.
   poset.insert(0, OpKind::kInternal, 0, VectorClock{2, 1});
   poset.insert(1, OpKind::kInternal, 0, VectorClock{2, 2});
   poset.collect();
   ASSERT_FALSE(poset.is_live(0, 1));
 
   RaceReport after;
+  RaceReport box_after;
   check_races(poset, table, e1.id, both, after, &evictions);
+  check_races_in_box(poset, table, e1.id, e1.gmin, e1.gbnd, box_after,
+                     &box_evictions);
   EXPECT_EQ(after.num_racy_vars(), 0u);
+  EXPECT_EQ(box_after.num_racy_vars(), 0u);
   EXPECT_EQ(evictions.load(), 1u);
+  EXPECT_EQ(box_evictions.load(), 1u);
 
   // An evicted interval owner is itself dropped and counted.
   check_races(poset, table, e0.id, both, after, &evictions);
+  check_races_in_box(poset, table, e0.id, e0.gmin, e0.gbnd, box_after,
+                     &box_evictions);
   EXPECT_EQ(evictions.load(), 2u);
+  EXPECT_EQ(box_evictions.load(), 2u);
 }
 
 }  // namespace

@@ -344,9 +344,7 @@ int run_online(const CliFlags& flags) {
                         .c_str()
                   : "window GC off");
 
-  OnlineParamount driver(
-      sp.num_threads, options,
-      [](const OnlinePoset&, EventId, const Frontier&) {});
+  OnlineParamount driver(sp.num_threads, options);
   SyntheticEventStream stream(sp);
 
   WallTimer timer;
