@@ -2,7 +2,7 @@
 
 #include <deque>
 
-#include "poset/vector_clock.hpp"
+#include "poset/clock_engine.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -23,7 +23,7 @@ class ScenarioBase : public ScenarioStream {
   explicit ScenarioBase(const ScenarioParams& params)
       : params_(params),
         rng_(params.seed),
-        engine_(ClockEngine::make(params.clock_backend, params.num_threads)) {
+        engine_(params.num_threads) {
     PM_CHECK(params.num_threads > 0);
     PM_CHECK(params.num_threads <= trace::kMaxThreads);
   }
@@ -39,7 +39,7 @@ class ScenarioBase : public ScenarioStream {
     ev.tid = tid;
     ev.kind = kind;
     ev.object = object;
-    engine_->local_step(tid, &ev.clock);
+    engine_.local_step(tid, &ev.clock);
     ++emitted_;
     return ev;
   }
@@ -50,7 +50,7 @@ class ScenarioBase : public ScenarioStream {
     ev.tid = tid;
     ev.kind = kind;
     ev.object = object;
-    engine_->sync_step(tid, timeline, &ev.clock);
+    engine_.sync_step(tid, timeline, &ev.clock);
     ++emitted_;
     return ev;
   }
@@ -61,14 +61,14 @@ class ScenarioBase : public ScenarioStream {
     ev.tid = dst;
     ev.kind = kind;
     ev.object = object;
-    engine_->absorb_step(dst, src, &ev.clock);
+    engine_.absorb_step(dst, src, &ev.clock);
     ++emitted_;
     return ev;
   }
 
   ScenarioParams params_;
   Rng rng_;
-  std::unique_ptr<ClockEngine> engine_;
+  ClockEngine engine_;
   std::uint64_t emitted_ = 0;
 };
 

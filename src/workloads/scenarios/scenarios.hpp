@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "poset/clock_backend.hpp"
 #include "trace/format.hpp"
 
 namespace paramount {
@@ -35,10 +34,6 @@ struct ScenarioParams {
   std::size_t num_threads = 8;
   std::uint64_t num_events = 10000;
   std::uint64_t seed = 1;
-  // Clock representation rolling the stream (clock_backend.hpp). The emitted
-  // events — and therefore the .pmt bytes — are identical across backends;
-  // the corpus CI job cross-checks that with cmp.
-  ClockBackend clock_backend = ClockBackend::kFlat;
 };
 
 class ScenarioStream {
@@ -57,10 +52,10 @@ class ScenarioStream {
 const std::vector<std::string>& scenario_names();
 
 // Wide-trace corpus: every base scenario at 64/128/256 threads, named
-// "<base>-64" etc. These are the streams the clock backends are measured
-// on; note the all-to-all shapes (barrier-phase, fork-join) are generable
-// and replayable at these widths but not exhaustively enumerable (lattice
-// width grows as rounds^(threads-1)).
+// "<base>-64" etc. The wide golden trace and the CI digest checks pin their
+// .pmt bytes. The all-to-all shapes (barrier-phase, fork-join) are
+// generable and replayable at these widths but not exhaustively enumerable
+// (lattice width grows as rounds^(threads-1)).
 const std::vector<std::string>& wide_scenario_names();
 
 // Creates the named scenario, or returns nullptr for an unknown name. Wide

@@ -1,11 +1,13 @@
-# Golden check for `paramount-trace info`: regenerates a fixed-seed corpus
-# trace and diffs the info output against the committed golden. Any drift in
-# the on-disk layout (header size, chunk framing, encoding width) shows up
-# here as a byte count or chunk boundary change — bump the format version
-# and regenerate the golden deliberately, never silently.
+# Golden check for `paramount-trace gen` / `info`: regenerates a fixed-seed
+# corpus trace, compares the file's SHA-256 with the committed digest, and
+# diffs the info output against the committed golden. Any drift in the
+# on-disk layout (header size, chunk framing, encoding width) or in a single
+# event clock shows up here — bump the format version and regenerate the
+# golden and digest deliberately, never silently.
 #
 # Variables: TRACE_TOOL (paramount-trace binary), GOLDEN (committed file),
-# WORK_DIR (scratch), SCENARIO, THREADS, EVENTS (generation parameters).
+# WORK_DIR (scratch), SCENARIO, THREADS, EVENTS (generation parameters),
+# SHA256 (expected digest of the generated .pmt).
 set(trace_file ${WORK_DIR}/golden_${SCENARIO}.pmt)
 execute_process(
   COMMAND ${TRACE_TOOL} gen --scenario=${SCENARIO} --threads=${THREADS}
@@ -13,6 +15,12 @@ execute_process(
   RESULT_VARIABLE gen_result OUTPUT_QUIET)
 if(NOT gen_result EQUAL 0)
   message(FATAL_ERROR "paramount-trace gen failed (${gen_result})")
+endif()
+
+file(SHA256 ${trace_file} digest)
+if(NOT "${digest}" STREQUAL "${SHA256}")
+  message(FATAL_ERROR "${trace_file} drifted from the pinned bytes:\n"
+                      "got  ${digest}\nwant ${SHA256}")
 endif()
 
 execute_process(

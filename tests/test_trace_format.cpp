@@ -179,6 +179,21 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, RoundTrip,
                                            "fanin-queue", "fork-join",
                                            "hot-var"));
 
+TEST(Scenarios, WideVariantRegistry) {
+  EXPECT_EQ(wide_scenario_names().size(), 3 * scenario_names().size());
+  ScenarioParams params;
+  params.num_events = 10;
+  for (const std::string& name : wide_scenario_names()) {
+    auto scenario = make_scenario(name, params);
+    ASSERT_NE(scenario, nullptr) << name;
+    const auto dash = name.find_last_of('-');
+    EXPECT_EQ(scenario->num_threads(),
+              static_cast<std::size_t>(std::stoul(name.substr(dash + 1))))
+        << name;
+  }
+  EXPECT_EQ(make_scenario("lock-convoy-999", params), nullptr);
+}
+
 TEST(TraceSeek, FooterIndexMatchesSequentialScan) {
   ScenarioParams params;
   params.num_threads = 4;

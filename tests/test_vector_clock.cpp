@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "poset/clock_engine.hpp"
+
 namespace paramount {
 namespace {
 
@@ -170,6 +172,26 @@ TEST(VectorClock, SinglePassCompareMatchesTwoLeqScans) {
     EXPECT_EQ(VectorClock::compare(a, b), expected)
         << a.to_string() << " vs " << b.to_string();
   }
+}
+
+// The producer-side engine runs the same arithmetic step by step: local
+// ticks, Algorithm-3 syncs through a timeline created on first use, and a
+// fork/join absorb that leaves the source thread's clock alone.
+TEST(ClockEngine, StepsFollowAlgorithm3) {
+  ClockEngine engine(3);
+  VectorClock c;
+  engine.local_step(0, &c);
+  EXPECT_EQ(c, (VectorClock{1, 0, 0}));
+  engine.sync_step(0, 2, &c);  // timeline 2 adopts {2, 0, 0}
+  EXPECT_EQ(c, (VectorClock{2, 0, 0}));
+  engine.sync_step(1, 2, &c);  // t1 learns t0 through the timeline
+  EXPECT_EQ(c, (VectorClock{2, 1, 0}));
+  engine.absorb_step(2, 1, &c);
+  EXPECT_EQ(c, (VectorClock{2, 1, 1}));
+  engine.local_step(0, &c);  // t0 has not seen t1
+  EXPECT_EQ(c, (VectorClock{3, 0, 0}));
+  engine.sync_step(0, 2, &c);
+  EXPECT_EQ(c, (VectorClock{4, 1, 0}));
 }
 
 }  // namespace

@@ -295,13 +295,6 @@ int run_online(const CliFlags& flags) {
   sp.sync_probability = flags.get_double("sync-prob");
   sp.seed = static_cast<std::uint64_t>(flags.get_int_in_range(
       "seed", 0, std::numeric_limits<std::int64_t>::max()));
-  const std::string backend_name = flags.get_string("clock-backend");
-  if (!parse_clock_backend(backend_name, &sp.clock_backend)) {
-    std::fprintf(stderr,
-                 "error: unknown --clock-backend '%s' (flat | tree)\n",
-                 backend_name.c_str());
-    return 2;
-  }
   const auto total_events = static_cast<std::uint64_t>(
       flags.get_int_in_range("stream-events", 1, std::int64_t{1} << 40));
 
@@ -334,10 +327,9 @@ int run_online(const CliFlags& flags) {
   options.telemetry = &telemetry;
 
   std::printf("online stream: %zu threads, %zu locks, %s events, "
-              "sync-prob %.2f, clock-backend %s, %s\n",
+              "sync-prob %.2f, %s\n",
               sp.num_threads, sp.num_locks,
               format_count(total_events).c_str(), sp.sync_probability,
-              clock_backend_name(sp.clock_backend),
               wp.enabled()
                   ? ("window GC on (gc-every " + std::to_string(wp.gc_every) +
                      ", window-bytes " + std::to_string(wp.window_bytes) + ")")
@@ -534,9 +526,6 @@ int main(int argc, char** argv) {
                    "(e.g. 64M; empty = no byte trigger)");
   flags.add_int("rss-budget-mb", 0,
                 "online mode: exit 1 if peak RSS exceeds this (0 = off)");
-  flags.add_string("clock-backend", "flat",
-                   "online mode: clock representation rolling the stream "
-                   "(flat | tree); state counts are identical");
   if (!flags.parse(argc, argv)) return 0;
 
   const std::string mode = flags.get_string("mode");
