@@ -276,12 +276,14 @@ BENCHMARK(BM_RaceReportAddRecorded)->Threads(1)->Threads(4);
 
 // ---- scheduler ----
 
-// The work-stealing scheduler at 8 workers on a skewed workload: a sparse
-// random poset mixes one-state intervals with intervals of tens of
-// thousands of states, so a batch routinely pairs a giant with tiny
-// batch-mates. The queue_wait_p99_ns counter shows how long a claimed event
-// stranded behind a slow batch-mate waits before an idle sibling steals it;
-// the steals counter shows how often that happens per iteration.
+// Both drivers' claims at 8 workers on a skewed workload: a sparse random
+// poset mixes one-state intervals with intervals of tens of thousands of
+// states. For the offline driver, the queue_wait_p99_ns counter shows how
+// long a worker waits for an interval from its own deque or a steal, and
+// the steals counter how often an idle worker takes a sibling's dealt
+// interval per iteration. For the streaming driver, which claims from the
+// shared cursor, queue_wait_p99_ns is the wait for the cursor lock plus the
+// Gbnd snapshot; it never steals.
 void paramount_scheduler_bench(benchmark::State& state, bool streaming) {
   RandomPosetParams params;
   params.num_processes = 6;
@@ -292,7 +294,6 @@ void paramount_scheduler_bench(benchmark::State& state, bool streaming) {
   const auto order = topological_sort(poset, TopoPolicy::kInterleave);
   ParamountOptions options;
   options.num_workers = 8;
-  options.chunk_size = 8;
   obs::Telemetry telemetry(options.num_workers,
                            /*trace_capacity_per_shard=*/256);
   options.telemetry = &telemetry;

@@ -156,15 +156,7 @@ void OnlineParamount::enumerate_interval(const OnlinePoset::Inserted& ins) {
   // drain()/destruction, which order all contributions.
   states_.fetch_add(states, std::memory_order_relaxed);
   intervals_.fetch_add(1, std::memory_order_relaxed);
-  if (tel != nullptr) {
-    const std::uint64_t end_ns = tel->tracer().now_ns();
-    tel->tracer().record(shard, "interval", "enumerate", start_ns,
-                         end_ns - start_ns, "states", states);
-    tel->metrics().add(tel->states, shard, states);
-    tel->metrics().add(tel->intervals, shard);
-    tel->metrics().observe(tel->interval_states, shard, states);
-    tel->metrics().observe(tel->interval_ns, shard, end_ns - start_ns);
-  }
+  if (tel != nullptr) tel->record_interval(shard, start_ns, states);
   // Release the pin before announcing completion: once the callback fires,
   // the interval no longer holds any storage against reclamation, so a
   // collect() triggered by the listener sees the watermark it expects.

@@ -1,9 +1,7 @@
 #include "core/paramount.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <exception>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -23,33 +21,18 @@ ParamountResult enumerate_paramount(const Poset& poset,
 
 namespace {
 
-// Per-interval instrumentation shared by the offline drivers: an "interval"
-// span plus the states/intervals counters and both interval histograms.
-void record_interval(obs::Telemetry* tel, std::size_t worker,
-                     std::uint64_t start_ns, std::uint64_t states) {
-  if (tel == nullptr) return;
-  const std::uint64_t end_ns = tel->tracer().now_ns();
-  tel->tracer().record(worker, "interval", "enumerate", start_ns,
-                       end_ns - start_ns, "states", states);
-  tel->metrics().add(tel->states, worker, states);
-  tel->metrics().add(tel->intervals, worker);
-  tel->metrics().observe(tel->interval_states, worker, states);
-  tel->metrics().observe(tel->interval_ns, worker, end_ns - start_ns);
-}
-
 // One work acquisition (deque pop, steal, or cursor claim): the claims
 // counter plus the queue-wait histogram. `seek_ns` is when the work was
-// first sought or became claimable, so the wait covers both lock latency
-// and any time the item spent parked in a deque.
+// first sought, so the wait covers lock latency and any time the interval
+// spent parked in a deque.
 void record_claim(obs::Telemetry* tel, std::size_t worker,
-                  std::uint64_t seek_ns, const char* arg_name,
-                  std::uint64_t arg_value) {
+                  std::uint64_t seek_ns, std::uint64_t index) {
   if (tel == nullptr) return;
   const std::uint64_t got_ns = tel->tracer().now_ns();
   tel->metrics().add(tel->claims, worker);
   tel->metrics().observe(tel->queue_wait_ns, worker, got_ns - seek_ns);
   tel->tracer().record(worker, "claim", "queue", seek_ns, got_ns - seek_ns,
-                       arg_name, arg_value);
+                       "interval", index);
 }
 
 // Outcome of one steal sweep: failed probes always count toward
@@ -70,15 +53,6 @@ void record_steal(obs::Telemetry* tel, std::size_t worker,
   }
 }
 
-// Refreshes the live pool.queue_depth gauge for one worker's deque after a
-// claim or a refill (the ThreadPool samples its queues the same way).
-template <typename Scheduler>
-void sample_queue_depth(obs::Telemetry* tel, const Scheduler& scheduler,
-                        std::size_t worker) {
-  if (tel == nullptr) return;
-  tel->metrics().set(tel->queue_depth, worker, scheduler.size_approx(worker));
-}
-
 // Runs `worker(index)` on num_workers threads, index 0 on the caller.
 template <typename Worker>
 void run_workers(std::size_t num_workers, const Worker& worker) {
@@ -93,6 +67,99 @@ void run_workers(std::size_t num_workers, const Worker& worker) {
   for (std::thread& t : threads) t.join();
 }
 
+// One interval handed to a worker: its position in →p, its event, and the
+// box [*gmin, *gbnd] to enumerate. Each worker owns one Claim for its whole
+// run, so `scratch` is a per-worker frontier a claim function may snapshot
+// Gbnd into without allocating per event.
+struct Claim {
+  std::size_t index = 0;
+  EventId event;
+  const Frontier* gmin = nullptr;
+  const Frontier* gbnd = nullptr;
+  Frontier scratch;
+};
+
+// Algorithm 1's ParaMountWorker, shared by both drivers. Each worker calls
+// `claim(worker, &claim)` until it returns false (no interval left) and
+// enumerates every claimed interval with the bounded subroutine. The
+// `num_intervals` intervals must partition the lattice minus the empty
+// state, which is delivered with interval 0 (Figure 6a). The first
+// exception stops every worker and is rethrown to the caller.
+template <typename ClaimFn>
+ParamountResult run_paramount(const Poset& poset, std::size_t num_intervals,
+                              const ParamountOptions& options,
+                              StateVisitor visit, const ClaimFn& claim) {
+  obs::Telemetry* const tel = options.telemetry;
+  PM_CHECK_MSG(tel == nullptr || tel->num_shards() >= options.num_workers,
+               "telemetry needs one shard per ParaMount worker");
+  ParamountResult result;
+
+  if (num_intervals == 0) {
+    // An empty poset has exactly one consistent state: the empty frontier.
+    visit(poset.empty_frontier());
+    result.states = 1;
+    return result;
+  }
+  if (options.collect_interval_stats) {
+    result.interval_stats.resize(num_intervals);
+  }
+
+  std::atomic<std::uint64_t> total_states{0};
+  std::atomic<bool> abort_flag{false};
+  Mutex error_mutex;
+  std::exception_ptr first_error;
+
+  auto worker = [&](std::size_t worker_index) {
+    try {
+      Claim c;
+      // relaxed: advisory stop flag — a worker that misses it only processes
+      // one more interval; the error itself is published under error_mutex.
+      while (!abort_flag.load(std::memory_order_relaxed)) {
+        const std::uint64_t seek_ns =
+            tel != nullptr ? tel->tracer().now_ns() : 0;
+        if (!claim(worker_index, &c)) return;
+        record_claim(tel, worker_index, seek_ns, c.index);
+
+        WallTimer timer;
+        const std::uint64_t start_ns =
+            tel != nullptr ? tel->tracer().now_ns() : 0;
+        std::uint64_t states = 0;
+        if (c.index == 0) {
+          visit(poset.empty_frontier());
+          ++states;
+        }
+        states += enumerate_box(options.subroutine, poset, *c.gmin, *c.gbnd,
+                                visit, options.meter, options.store)
+                      .states;
+        // relaxed: monotone counter; the final load happens after the
+        // workers join, which orders every contribution.
+        total_states.fetch_add(states, std::memory_order_relaxed);
+        if (tel != nullptr) {
+          tel->record_interval(worker_index, start_ns, states);
+        }
+        if (options.collect_interval_stats) {
+          result.interval_stats[c.index] =
+              IntervalStat{c.event, states, timer.elapsed_ns()};
+        }
+      }
+    } catch (...) {
+      MutexLock guard(error_mutex);
+      if (!first_error) first_error = std::current_exception();
+      // relaxed: advisory stop flag, see the worker loop.
+      abort_flag.store(true, std::memory_order_relaxed);
+    }
+  };
+  run_workers(options.num_workers, worker);
+
+  if (first_error) std::rethrow_exception(first_error);
+  // relaxed: read after run_workers' joins, which order all contributions.
+  result.states = total_states.load(std::memory_order_relaxed);
+  if (options.meter != nullptr) {
+    result.peak_bytes = options.meter->peak_bytes();
+  }
+  return result;
+}
+
 }  // namespace
 
 ParamountResult enumerate_paramount(const Poset& poset,
@@ -101,118 +168,44 @@ ParamountResult enumerate_paramount(const Poset& poset,
                                     StateVisitor visit) {
   PM_CHECK(options.num_workers > 0);
   obs::Telemetry* const tel = options.telemetry;
-  PM_CHECK_MSG(tel == nullptr || tel->num_shards() >= options.num_workers,
-               "telemetry needs one shard per ParaMount worker");
-  ParamountResult result;
 
-  if (intervals.empty()) {
-    // An empty poset has exactly one consistent state: the empty frontier.
-    visit(poset.empty_frontier());
-    result.states = 1;
-    return result;
-  }
-  if (options.collect_interval_stats) {
-    result.interval_stats.resize(intervals.size());
-  }
-
-  std::atomic<std::uint64_t> total_states{0};
-  std::atomic<bool> abort_flag{false};
-  Mutex error_mutex;
-  std::exception_ptr first_error;
-
-  const std::size_t chunk = std::max<std::size_t>(options.chunk_size, 1);
-
-  auto process_interval = [&](std::size_t i, std::size_t worker_index) {
-    const Interval& iv = intervals[i];
-    WallTimer timer;
-    const std::uint64_t start_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
-    std::uint64_t states = 0;
-    // The empty state {0,…,0} belongs to no interval; the paper assigns it
-    // to the first event of →p (Figure 6a).
-    if (i == 0) {
-      visit(poset.empty_frontier());
-      ++states;
-    }
-    const EnumStats stats = enumerate_box(
-        options.subroutine, poset, iv.gmin, iv.gbnd,
-        [&](const Frontier& state) { visit(state); }, options.meter,
-        options.store);
-    states += stats.states;
-    // relaxed: monotone counter; the final load happens after the workers
-    // join, which orders every contribution.
-    total_states.fetch_add(states, std::memory_order_relaxed);
-    record_interval(tel, worker_index, start_ns, states);
-    if (options.collect_interval_stats) {
-      result.interval_stats[i] = IntervalStat{iv.event, states,
-                                              timer.elapsed_ns()};
-    }
-  };
-
-  auto fail = [&](std::exception_ptr error) {
-    MutexLock guard(error_mutex);
-    if (!first_error) first_error = std::move(error);
-    // relaxed: advisory stop flag — a worker that misses it only processes
-    // one more interval; the error itself is published under error_mutex.
-    abort_flag.store(true, std::memory_order_relaxed);
-  };
-
-  // The chunks are dealt round-robin into per-worker deques up front; each
-  // worker drains its own deque and steals once empty. No shared claim
+  // The intervals are dealt round-robin into per-worker deques up front;
+  // each worker drains its own deque and steals once empty. No shared claim
   // point — the deque owner's pop is uncontended.
-  const std::size_t num_chunks = (intervals.size() + chunk - 1) / chunk;
   WorkStealingScheduler<std::size_t> scheduler(
       options.num_workers, options.seed,
-      /*initial_capacity=*/num_chunks / options.num_workers + 1);
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    scheduler.push(c % options.num_workers, c * chunk);
+      /*initial_capacity=*/intervals.size() / options.num_workers + 1);
+  for (std::size_t i = 0; i < intervals.size(); ++i) {
+    scheduler.push(i % options.num_workers, i);
   }
 
-  auto worker = [&](std::size_t worker_index) {
-    try {
-      // relaxed: abort_flag is an advisory stop flag, see fail().
-      while (!abort_flag.load(std::memory_order_relaxed)) {
-        const std::uint64_t seek_ns =
-            tel != nullptr ? tel->tracer().now_ns() : 0;
-        std::size_t begin;
-        if (!scheduler.pop(worker_index, begin)) {
-          std::uint64_t failed_probes = 0;
-          const bool stole =
-              scheduler.steal(worker_index, begin, &failed_probes);
-          record_steal(tel, worker_index, seek_ns, stole, failed_probes);
-          // A failed sweep is definitive here: nothing is pushed after
-          // the initial deal, and every deque's residue is drained by
-          // its owner. Refresh the gauge on the way out so a deque that
-          // thieves drained doesn't leave a stale depth behind.
-          if (!stole) {
-            sample_queue_depth(tel, scheduler, worker_index);
-            return;
-          }
-        }
-        record_claim(tel, worker_index, seek_ns, "first_interval", begin);
-        sample_queue_depth(tel, scheduler, worker_index);
-        const std::size_t end = std::min(begin + chunk, intervals.size());
-        for (std::size_t i = begin; i < end; ++i) {
-          // A sibling may have failed mid-chunk; don't run the rest of a
-          // large chunk to completion against a doomed result.
-          // relaxed: advisory stop flag, see fail().
-          if (abort_flag.load(std::memory_order_relaxed)) return;
-          process_interval(i, worker_index);
-        }
-      }
-    } catch (...) {
-      fail(std::current_exception());
+  auto claim = [&](std::size_t worker, Claim* c) {
+    std::size_t i = 0;
+    bool found = scheduler.pop(worker, i);
+    if (!found) {
+      const std::uint64_t sweep_ns =
+          tel != nullptr ? tel->tracer().now_ns() : 0;
+      std::uint64_t failed_probes = 0;
+      found = scheduler.steal(worker, i, &failed_probes);
+      record_steal(tel, worker, sweep_ns, found, failed_probes);
     }
+    // Refresh the live pool.queue_depth gauge, also on the way out so a
+    // deque that thieves drained doesn't leave a stale depth behind.
+    if (tel != nullptr) {
+      tel->metrics().set(tel->queue_depth, worker,
+                         scheduler.size_approx(worker));
+    }
+    // A failed sweep is definitive: nothing is pushed after the initial
+    // deal, and every deque's residue is drained by its owner.
+    if (!found) return false;
+    const Interval& iv = intervals[i];
+    c->index = i;
+    c->event = iv.event;
+    c->gmin = &iv.gmin;
+    c->gbnd = &iv.gbnd;
+    return true;
   };
-  run_workers(options.num_workers, worker);
-
-  if (first_error) std::rethrow_exception(first_error);
-
-  // relaxed: read after run_workers' joins, which order all contributions.
-  result.states = total_states.load(std::memory_order_relaxed);
-  if (options.meter != nullptr) {
-    result.peak_bytes = options.meter->peak_bytes();
-  }
-  return result;
+  return run_paramount(poset, intervals.size(), options, visit, claim);
 }
 
 ParamountResult enumerate_paramount_streaming(
@@ -222,158 +215,42 @@ ParamountResult enumerate_paramount_streaming(
   PM_CHECK_MSG(is_linear_extension(poset, order),
                "streaming ParaMount requires a linear extension");
   obs::Telemetry* const tel = options.telemetry;
-  PM_CHECK_MSG(tel == nullptr || tel->num_shards() >= options.num_workers,
-               "telemetry needs one shard per ParaMount worker");
-  ParamountResult result;
 
-  if (order.empty()) {
-    visit(poset.empty_frontier());
-    result.states = 1;
-    return result;
-  }
-  if (options.collect_interval_stats) {
-    result.interval_stats.resize(order.size());
-  }
-
-  std::atomic<std::uint64_t> total_states{0};
   Mutex cursor_mutex;
-  std::size_t cursor = 0;
+  std::size_t cursor = 0;                     // guarded by cursor_mutex
   Frontier running = poset.empty_frontier();  // guarded by cursor_mutex
-  std::atomic<bool> abort_flag{false};
-  Mutex error_mutex;
-  std::exception_ptr first_error;
 
-  const std::size_t chunk = std::max<std::size_t>(options.chunk_size, 1);
-  struct Claimed {
-    std::size_t index;
-    EventId id;
-    Frontier gbnd;
-    // Tracer timestamp of the seek that claimed this event from the cursor
-    // (0 when telemetry is off). queue_wait_ns measures from here to the
-    // start of processing, so work that sits in a deque shows up as wait.
-    std::uint64_t ready_ns;
-  };
-
-  auto process_item = [&](const Claimed& claimed, std::size_t worker_index) {
-    const Frontier gmin = poset.vc(claimed.id.tid, claimed.id.index);
-    WallTimer timer;
-    const std::uint64_t start_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
-    std::uint64_t states = 0;
-    if (claimed.index == 0) {
-      visit(poset.empty_frontier());
-      ++states;
+  // The paper's atomic block: advance the cursor to the next event of →p
+  // and snapshot the running Gbnd frontier into the worker's own scratch
+  // frontier (after the first claim the copy reuses its buffer). Nothing
+  // else runs under the lock.
+  auto claim = [&](std::size_t worker, Claim* c) {
+    std::size_t i = 0;
+    std::uint64_t acquired_ns = 0;
+    std::uint64_t snapshot_done_ns = 0;
+    {
+      MutexLock guard(cursor_mutex);
+      if (cursor == order.size()) return false;
+      acquired_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
+      i = cursor++;
+      running[order[i].tid] = order[i].index;
+      c->scratch = running;
+      snapshot_done_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
     }
-    const EnumStats stats = enumerate_box(
-        options.subroutine, poset, gmin, claimed.gbnd,
-        [&](const Frontier& state) { visit(state); }, options.meter,
-        options.store);
-    states += stats.states;
-    // relaxed: monotone counter, read after the joins; see the offline driver.
-    total_states.fetch_add(states, std::memory_order_relaxed);
-    record_interval(tel, worker_index, start_ns, states);
-    if (options.collect_interval_stats) {
-      result.interval_stats[claimed.index] =
-          IntervalStat{claimed.id, states, timer.elapsed_ns()};
+    if (tel != nullptr) {
+      tel->metrics().observe(tel->gbnd_ns, worker,
+                             snapshot_done_ns - acquired_ns);
+      tel->tracer().record(worker, "gbnd_snapshot", "queue", acquired_ns,
+                           snapshot_done_ns - acquired_ns, "event", i);
     }
+    const EventId id = order[i];
+    c->index = i;
+    c->event = id;
+    c->gmin = &poset.vc(id.tid, id.index);
+    c->gbnd = &c->scratch;
+    return true;
   };
-
-  auto fail = [&](std::exception_ptr error) {
-    MutexLock guard(error_mutex);
-    if (!first_error) first_error = std::move(error);
-    // relaxed: advisory stop flag; the error is published under error_mutex.
-    abort_flag.store(true, std::memory_order_relaxed);
-  };
-
-  // The paper's atomic block (advance the cursor, snapshot the running
-  // Gbnd frontier) is the only code under the cursor lock. Claimed batches
-  // go into the claimer's own deque, so a worker revisits the lock once per
-  // `chunk` events and idle workers pull from their siblings instead of
-  // convoying on the mutex. With chunk_size 1 nothing is ever pushed, and
-  // every claim is Algorithm 1's shared-cursor fetch.
-  WorkStealingScheduler<Claimed*> scheduler(options.num_workers, options.seed);
-  auto worker = [&](std::size_t worker_index) {
-    try {
-      std::vector<Claimed*> batch;
-      batch.reserve(chunk);
-      // relaxed: advisory stop flag, see fail().
-      while (!abort_flag.load(std::memory_order_relaxed)) {
-        const std::uint64_t seek_ns =
-            tel != nullptr ? tel->tracer().now_ns() : 0;
-        Claimed* item = nullptr;
-        if (!scheduler.pop(worker_index, item)) {
-          // Own deque dry: rescue a sibling's stranded claim before
-          // admitting fresh events. A claimed event ages in a deque
-          // behind a slow batch-mate, while an unclaimed event waits in
-          // the cursor for free — so stealing first is what caps the
-          // claim-to-start tail under skew.
-          std::uint64_t failed_probes = 0;
-          const bool stole =
-              scheduler.steal(worker_index, item, &failed_probes);
-          record_steal(tel, worker_index, seek_ns, stole, failed_probes);
-          if (!stole) {
-            // Nothing to steal: refill from the shared cursor.
-            batch.clear();
-            std::uint64_t acquired_ns = 0;
-            std::uint64_t snapshot_done_ns = 0;
-            {
-              MutexLock guard(cursor_mutex);
-              acquired_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
-              while (cursor < order.size() && batch.size() < chunk) {
-                const std::size_t i = cursor++;
-                const EventId id = order[i];
-                running[id.tid] = id.index;
-                batch.push_back(new Claimed{i, id, running, seek_ns});
-              }
-              snapshot_done_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
-            }
-            // Cursor exhausted after a failed sweep: retire. The only
-            // remaining items sit in deques whose owners drain them; zero
-            // this worker's gauge so the exit doesn't leave a stale depth.
-            if (batch.empty()) {
-              sample_queue_depth(tel, scheduler, worker_index);
-              return;
-            }
-            if (tel != nullptr) {
-              tel->metrics().observe(tel->gbnd_ns, worker_index,
-                                     snapshot_done_ns - acquired_ns);
-              tel->tracer().record(worker_index, "gbnd_snapshot", "queue",
-                                   acquired_ns, snapshot_done_ns - acquired_ns,
-                                   "events", batch.size());
-            }
-            item = batch.front();
-            for (std::size_t k = 1; k < batch.size(); ++k) {
-              scheduler.push(worker_index, batch[k]);
-            }
-          }
-        }
-        sample_queue_depth(tel, scheduler, worker_index);
-        std::unique_ptr<Claimed> owned(item);
-        // Waits are measured from the claiming seek, not this worker's:
-        // a popped or stolen event has been sitting in a deque since its
-        // batch was claimed, and that queueing delay is the point.
-        record_claim(tel, worker_index, owned->ready_ns, "event", owned->index);
-        process_item(*owned, worker_index);
-      }
-    } catch (...) {
-      fail(std::current_exception());
-    }
-  };
-  run_workers(options.num_workers, worker);
-
-  // On an aborted run, unprocessed claims may still sit in the deques;
-  // the workers have joined, so draining them single-threaded is safe.
-  for (std::size_t w = 0; w < options.num_workers; ++w) {
-    Claimed* leftover = nullptr;
-    while (scheduler.pop(w, leftover)) delete leftover;
-  }
-
-  if (first_error) std::rethrow_exception(first_error);
-  // relaxed: read after run_workers' joins, which order all contributions.
-  result.states = total_states.load(std::memory_order_relaxed);
-  if (options.meter != nullptr) {
-    result.peak_bytes = options.meter->peak_bytes();
-  }
-  return result;
+  return run_paramount(poset, order.size(), options, visit, claim);
 }
 
 }  // namespace paramount

@@ -3,12 +3,14 @@
 //
 // The driver fixes a linear extension →p, computes the interval I(e) of every
 // event, and deals the intervals to per-worker work-stealing deques. The
-// streaming variant below keeps the paper's ParaMountWorker, which fetches
-// "the next event in the total order →p" from a shared cursor. Each interval
-// is enumerated with a *bounded* sequential subroutine (Algorithm 2); because
-// the intervals partition the lattice (Theorem 2), every consistent state is
-// delivered to the visitor exactly once, and total work is that of the
-// sequential subroutine (work-optimal).
+// streaming variant below keeps the paper's claim, which fetches "the next
+// event in the total order →p" from a shared cursor. Both run the same
+// ParaMountWorker loop and differ only in how a worker claims its next
+// interval. Each interval is claimed alone and enumerated with a *bounded*
+// sequential subroutine (Algorithm 2); because the intervals partition the
+// lattice (Theorem 2), every consistent state is delivered to the visitor
+// exactly once, and total work is that of the sequential subroutine
+// (work-optimal).
 #pragma once
 
 #include <cstdint>
@@ -26,15 +28,6 @@ struct ParamountOptions {
   EnumAlgorithm subroutine = EnumAlgorithm::kLexical;
   TopoPolicy topo_policy = TopoPolicy::kInterleave;
   std::uint64_t seed = 0;
-  // Events per unit of work. Work is distributed through per-worker
-  // work-stealing deques (util/work_stealing.hpp), and idle workers steal.
-  // The offline driver deals chunks of this many intervals round-robin into
-  // the deques up front. The streaming driver claims this many events from
-  // its shared cursor per visit and parks all but the first in the
-  // claimer's deque, so with 1 it reproduces the paper's Algorithm 1
-  // exactly. Larger chunks amortize queue contention at the cost of coarser
-  // load balancing (tail intervals are the big ones).
-  std::size_t chunk_size = 1;
   // Optional shared memory meter (thread-safe); lets B-Para reproduce the
   // bounded-memory behaviour of Table 1.
   MemoryMeter* meter = nullptr;
@@ -51,13 +44,11 @@ struct ParamountOptions {
   // Optional telemetry sink (see src/obs/). Must have at least `num_workers`
   // shards; worker w writes only shard w. Per interval the drivers record an
   // "interval" span plus states/intervals counters and the interval-size and
-  // interval-time histograms. Per work acquisition they record a claims
-  // count and a queue-wait observation — measured from when the work was
-  // claimed (or first sought) to the start of its processing, so time spent
-  // parked in a deque or behind a slow batch-mate is visible. Stolen
-  // acquisitions additionally bump pool.steals (failed probes:
-  // pool.steal_fail) and emit a "steal" span. The streaming driver records
-  // Gbnd-snapshot timings per non-empty cursor claim.
+  // interval-time histograms. Per claim they record a claims count and a
+  // queue-wait observation, measured from when the worker sought work to
+  // when it got an interval. The offline driver's steals additionally bump
+  // pool.steals (failed probes: pool.steal_fail) and emit a "steal" span.
+  // The streaming driver records one Gbnd-snapshot timing per claim.
   obs::Telemetry* telemetry = nullptr;
 };
 

@@ -35,6 +35,20 @@ class Telemetry {
 
   MetricsSnapshot snapshot() const { return metrics_.snapshot(); }
 
+  // One enumerated interval, recorded the same way by every driver: an
+  // "interval" span from `start_ns` (a tracer timestamp) to now, the
+  // states/intervals counters, and both interval histograms.
+  void record_interval(std::size_t shard, std::uint64_t start_ns,
+                       std::uint64_t num_states) {
+    const std::uint64_t end_ns = tracer_.now_ns();
+    tracer_.record(shard, "interval", "enumerate", start_ns,
+                   end_ns - start_ns, "states", num_states);
+    metrics_.add(states, shard, num_states);
+    metrics_.add(intervals, shard);
+    metrics_.observe(interval_states, shard, num_states);
+    metrics_.observe(interval_ns, shard, end_ns - start_ns);
+  }
+
   // Writes `metrics().snapshot().to_json()` / the Chrome trace to a file.
   // Returns false (and prints to stderr) on I/O failure.
   bool write_metrics_json(const std::string& path) const;

@@ -132,15 +132,14 @@ INSTANTIATE_TEST_SUITE_P(
                                          TopoPolicy::kRandom)));
 
 // Both drivers must enumerate every ideal of `poset` exactly once under the
-// given worker count and chunk size.
-void expect_both_drivers_exactly_once(const Poset& poset, std::size_t workers,
-                                      std::size_t chunk) {
+// given worker count.
+void expect_both_drivers_exactly_once(const Poset& poset,
+                                      std::size_t workers) {
   std::set<Key> oracle;
   for (const Frontier& f : all_ideals(poset)) oracle.insert(key_of(f));
 
   ParamountOptions options;
   options.num_workers = workers;
-  options.chunk_size = chunk;
 
   Mutex mutex;
   std::vector<Key> states;
@@ -164,49 +163,28 @@ void expect_both_drivers_exactly_once(const Poset& poset, std::size_t workers,
   EXPECT_EQ(streaming.states, oracle.size());
 }
 
-// Chunked work assignment must preserve exactly-once for both drivers, at
-// every worker count: one worker, fewer workers than threads, a worker count
-// that does not divide the chunk count, and more workers than the box has
-// cores.
-class ParamountChunking : public ::testing::TestWithParam<std::size_t> {};
+// Scheduler agreement: the offline driver's work-stealing deques and the
+// streaming driver's shared cursor must produce the same state set, exactly
+// once, at every worker count: one worker, fewer workers than threads, a
+// worker count that does not divide the interval count, and more workers
+// than the box has cores.
+class ParamountScheduler : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(ParamountChunking, ExactlyOnceForAnyChunkSize) {
-  const std::size_t chunk = GetParam();
-  const Poset poset = make_random(4, 30, 0.4, 12);
-  for (const std::size_t workers : {1u, 2u, 3u, 8u}) {
-    SCOPED_TRACE(::testing::Message() << "workers=" << workers);
-    expect_both_drivers_exactly_once(poset, workers, chunk);
+TEST_P(ParamountScheduler, BothDriversExactlyOnce) {
+  const std::size_t workers = GetParam();
+  for (const std::uint64_t seed : {12u, 21u}) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    expect_both_drivers_exactly_once(make_random(4, 30, 0.4, seed), workers);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(ChunkSizes, ParamountChunking,
-                         ::testing::Values(1u, 2u, 5u, 16u, 1000u));
-
-// Scheduler agreement: the offline driver's work-stealing deques and the
-// streaming driver's shared cursor (at chunk 1 it never pushes to a deque,
-// so it is Algorithm 1's shared-counter claim) must produce the same state
-// set, exactly once, for every workers x chunk combination. The third axis
-// names the scheduler; work stealing is the only one, so it is always true.
-class ParamountScheduler
-    : public ::testing::TestWithParam<
-          std::tuple<std::size_t, std::size_t, bool>> {};
-
-TEST_P(ParamountScheduler, StealAndSharedCounterPathsAgree) {
-  const auto [workers, chunk, steal] = GetParam();
-  EXPECT_TRUE(steal);
-  expect_both_drivers_exactly_once(make_random(4, 30, 0.4, 21), workers,
-                                   chunk);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    WorkersChunksSteal, ParamountScheduler,
-    ::testing::Combine(::testing::Values(1u, 2u, 8u),
-                       ::testing::Values(1u, 5u), ::testing::Values(true)));
+INSTANTIATE_TEST_SUITE_P(Workers, ParamountScheduler,
+                         ::testing::Values(1u, 2u, 3u, 8u));
 
 // A visitor exception must reach the caller, and sibling workers must stop
-// promptly: on a chain every interval is one state, abort is checked
-// between intervals, so only a bounded handful of extra states can slip
-// through after the throw.
+// promptly: on a chain every interval is one state, abort is checked before
+// every claim, so only a bounded handful of extra states can slip through
+// after the throw.
 TEST(ParamountThrow, VisitorExceptionPropagatesAndAborts) {
   constexpr std::size_t kEvents = 500;
   constexpr std::uint64_t kThrowAt = 20;
@@ -214,7 +192,6 @@ TEST(ParamountThrow, VisitorExceptionPropagatesAndAborts) {
 
   ParamountOptions options;
   options.num_workers = 4;
-  options.chunk_size = 2;
 
   for (const bool streaming : {false, true}) {
     std::atomic<std::uint64_t> visited{0};
@@ -233,8 +210,7 @@ TEST(ParamountThrow, VisitorExceptionPropagatesAndAborts) {
                    std::runtime_error);
     }
     // Well below the 501 total states: the abort flag stopped the sweep.
-    EXPECT_LT(visited.load(), kThrowAt + 4 * options.num_workers *
-                                             options.chunk_size)
+    EXPECT_LT(visited.load(), kThrowAt + 8 * options.num_workers)
         << (streaming ? "streaming" : "offline");
   }
 }

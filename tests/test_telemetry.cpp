@@ -575,21 +575,18 @@ TEST(DriverTelemetry, StreamingRecordsQueueWaitAndGbnd) {
   if constexpr (obs::kTelemetryEnabled) {
     const MetricsSnapshot snap = telemetry.snapshot();
     EXPECT_EQ(snap.find_counter("paramount.states")->total, result.states);
-    // One claim and one queue-wait observation per event; Gbnd snapshots
-    // happen once per non-empty cursor batch, so at most once per claim.
+    // One claim, one queue-wait observation and one Gbnd snapshot per
+    // event: every claim is the paper's atomic block for one event.
     const std::uint64_t claims = snap.find_counter("paramount.claims")->total;
     EXPECT_EQ(claims, order.size());
     EXPECT_EQ(snap.find_histogram("pool.queue_wait_ns")->count, claims);
-    const std::uint64_t gbnd =
-        snap.find_histogram("paramount.gbnd_ns")->count;
-    EXPECT_GE(gbnd, 1u);
-    EXPECT_LE(gbnd, claims);
+    EXPECT_EQ(snap.find_histogram("paramount.gbnd_ns")->count, claims);
   }
 }
 
 // Workers that find the cursor already exhausted on their way out must not
-// record anything: with more workers than events, claims still equals the
-// event count exactly.
+// record anything: with more workers than events, claims and Gbnd snapshots
+// still equal the event count exactly.
 TEST(DriverTelemetry, StreamingEmptyClaimsAreNotCounted) {
   PosetBuilder builder(1);
   for (int i = 0; i < 3; ++i) builder.add_event(0);
@@ -602,8 +599,9 @@ TEST(DriverTelemetry, StreamingEmptyClaimsAreNotCounted) {
   enumerate_paramount_streaming(poset, order, options, [](const Frontier&) {});
   if constexpr (obs::kTelemetryEnabled) {
     const MetricsSnapshot snap = telemetry.snapshot();
-    EXPECT_EQ(snap.find_counter("paramount.claims")->total, order.size());
-    EXPECT_LE(snap.find_histogram("paramount.gbnd_ns")->count, order.size());
+    const std::uint64_t claims = snap.find_counter("paramount.claims")->total;
+    EXPECT_EQ(claims, order.size());
+    EXPECT_EQ(snap.find_histogram("paramount.gbnd_ns")->count, claims);
   }
 }
 

@@ -228,8 +228,6 @@ int run_count(const Poset& poset, const CliFlags& flags) {
   // a raw PM_CHECK abort inside the driver.
   options.num_workers = static_cast<std::size_t>(
       flags.get_int_in_range("workers", 1, 1 << 14));
-  options.chunk_size = static_cast<std::size_t>(
-      flags.get_int_in_range("chunk", 1, std::int64_t{1} << 30));
   options.subroutine = parse_algorithm(flags.get_string("algorithm"));
   options.topo_policy = parse_policy(flags.get_string("order"));
   const bool streaming = flags.get_bool("streaming");
@@ -265,10 +263,10 @@ int run_count(const Poset& poset, const CliFlags& flags) {
   std::printf("consistent global states: %s\n",
               format_count(result.states).c_str());
   std::printf(
-      "algorithm: ParaMount(%s, %zu workers, %s order%s, chunk %zu), %s\n",
+      "algorithm: ParaMount(%s, %zu workers, %s order%s), %s\n",
       to_string(options.subroutine), options.num_workers,
       to_string(options.topo_policy), streaming ? ", streaming" : "",
-      options.chunk_size, format_seconds(elapsed).c_str());
+      format_seconds(elapsed).c_str());
 
   if (store != nullptr) {
     store->publish_stats(&telemetry);
@@ -497,7 +495,6 @@ int main(int argc, char** argv) {
   flags.add_string("order", "interleave",
                    "interleave | thread-major | random");
   flags.add_int("workers", 4, "ParaMount workers for count mode");
-  flags.add_int("chunk", 1, "count mode: intervals claimed per queue visit");
   flags.add_bool("streaming", false,
                  "count mode: use the streaming driver (real queue waits)");
   flags.add_string("metrics-json", "",
